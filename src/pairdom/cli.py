@@ -3,7 +3,7 @@
 Exit codes are a stable contract:
 
 * 0 -- success
-* 1 -- malformed input or an exceeded cap
+* 1 -- malformed input, a usage error or an exceeded cap
 * 2 -- no solution (the graph has isolated vertices)
 * 3 -- not a cograph (an induced-P4 witness is printed)
 * 4 -- verification failure
@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import re
 import statistics
 import sys
 import time
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .cotree import (
     Cotree,
@@ -36,7 +37,6 @@ from .cotree import (
     serialize_cotree,
 )
 from .graphs import (
-    Graph,
     GraphError,
     MPDSolution,
     NoSolutionError,
@@ -94,30 +94,26 @@ def _read(path: str) -> str:
 
 
 def _parse_restricted_arg(spec: Optional[str], n: int) -> RestrictedSet:
-    """Inline comma list (``0,3,5``) or a file path; absent means empty."""
+    """Inline list (``0,3,5`` or ``"0, 3 5"``: only digits, commas and
+    whitespace) or a file path; absent means empty."""
     if spec is None:
         return RestrictedSet.empty(n)
-    stripped = spec.strip()
-    if stripped == "" or stripped.replace(",", "").isdigit():
-        ids = [int(tok) for tok in stripped.split(",") if tok]
-        return RestrictedSet(n, ids)
+    if re.fullmatch(r"[0-9,\s]*", spec):
+        return RestrictedSet(n, [int(tok) for tok in spec.replace(",", " ").split()])
     return parse_restricted_text(_read(spec), n)
 
 
-def _load_instance(args: argparse.Namespace) -> tuple[Optional[Cotree], Graph]:
-    """Load (cotree, graph) from --cotree or --graph; graph inputs are
-    recognized first and a P4 aborts with exit 3 via CliFailure."""
+def _load_tree(args: argparse.Namespace) -> Cotree:
+    """The cotree from --cotree, or recognized from --graph (a P4 aborts
+    with exit 3 via CliFailure).  Nothing is materialized."""
     if args.cotree is not None:
-        tree = parse_cotree(_read(args.cotree))
-        graph = materialize(tree, edge_cap=args.edge_cap)
-        return tree, graph
-    graph = parse_graph_text(_read(args.graph))
-    result = recognize(graph)
+        return parse_cotree(_read(args.cotree))
+    result = recognize(parse_graph_text(_read(args.graph)))
     if isinstance(result, P4Witness):
         raise CliFailure(
             EXIT_NOT_COGRAPH, f"p4 {result.a} {result.b} {result.c} {result.d}"
         )
-    return result, graph
+    return result
 
 
 class CliFailure(Exception):
@@ -127,8 +123,8 @@ class CliFailure(Exception):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    tree, graph = _load_instance(args)
-    restricted = _parse_restricted_arg(args.restricted, graph.n)
+    tree = _load_tree(args)
+    restricted = _parse_restricted_arg(args.restricted, tree.leaf_count)
     try:
         solution = solve(tree, restricted)
     except NoSolutionError as exc:
@@ -258,8 +254,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INPUT (argparse uses 2, the no-solution
+    code); sub-parsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pairdom",
         description="Maximum matched-paired domination on cographs.",
     )
@@ -272,6 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
             src.add_argument("--graph", help="graph file (p/e format); recognized first")
         else:
             p.add_argument("--graph", required=True, help="graph file (p/e format)")
+
+    def add_edge_cap(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--edge-cap",
             type=int,
@@ -287,12 +294,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a solution file against an instance")
     add_instance_args(p)
+    add_edge_cap(p)
     p.add_argument("--restricted", help="file path or inline comma list (default: empty)")
     p.add_argument("--solution", required=True, help="solution file to check")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive optimum for small instances")
     add_instance_args(p)
+    add_edge_cap(p)
     p.add_argument("--restricted", help="file path or inline comma list (default: empty)")
     p.add_argument("--gamma-p", action="store_true", help="print the paired-domination number only")
     p.add_argument(
@@ -319,6 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recognize", help="decompose a graph or print a P4 witness")
     add_instance_args(p, graph_only=True)
+    add_edge_cap(p)
     p.set_defaults(func=_cmd_recognize)
 
     p = sub.add_parser("bench", help="timing table over generated instances")

@@ -16,6 +16,7 @@ iterative, never recursive.
 from __future__ import annotations
 
 import random
+import re
 from typing import NamedTuple, Union
 
 from .graphs import Graph, GraphError, RestrictedSet
@@ -100,16 +101,6 @@ class Cotree:
         self.root = root
         self.leaf_count = leaf_count
         self.postordered = postordered
-
-    @classmethod
-    def single_leaf(cls) -> "Cotree":
-        return cls([LEAF], [0], [-1], 0, 1, postordered=True)
-
-    def node_count(self) -> int:
-        return len(self.kind)
-
-    def is_leaf(self, i: int) -> bool:
-        return self.kind[i] == LEAF
 
     def postorder(self) -> list[int]:
         """Node indices, children before parents, left subtree first."""
@@ -252,10 +243,25 @@ def parse_cotree(text: str) -> Cotree:
             raise CotreeParseError(
                 f"leaf labels must be exactly 0..{n - 1} with no repeats; "
                 f"offending label {label}",
-                0,
+                _offending_leaf_offset(text, n),
             )
         seen[label] = 1
     return Cotree(kind, arena_a, arena_b, completed_root, n, postordered=True)
+
+
+def _offending_leaf_offset(text: str, n: int) -> int:
+    """Offset of the first leaf whose label is out of range or a repeat.
+
+    Only the error path calls this: it rescans the text (every digit run in
+    parsed text is a leaf), so the parse itself records no leaf positions.
+    """
+    seen = bytearray(n)
+    for match in re.finditer(r"\d+", text):
+        label = int(match.group())
+        if label >= n or seen[label]:
+            return match.start()
+        seen[label] = 1
+    return 0
 
 
 def serialize_cotree(tree: Cotree) -> str:

@@ -113,12 +113,6 @@ class Graph:
         self.adj = adj
         self.m = m
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def neighbors(self, v: int) -> list[int]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         """Membership test via binary search on the sorted adjacency list."""
         if u >= self.n or v >= self.n or u < 0 or v < 0:

@@ -65,6 +65,8 @@ _WR, _WF = 21, 22  # witness restricted-free edge inside the subtree (-1 none)
 _XR, _XF = 23, 24  # exemplars: smallest restricted / free label (-1 none)
 _XRI, _XFI = 25, 26  # the exemplars' vertex ids
 _CASE = 27  # tag of the rule that produced this summary
+# The chain and pool helpers take a head slot: its tail is the next slot, and
+# a pair chain's count sits at half its head slot (_KH >> 1 == _KC, ...).
 
 NodeSummary = list
 """Opaque summary record; owned by a :class:`SolveContext`."""
@@ -139,6 +141,11 @@ class SolveContext:
         # spill reaches it, or by suppressing v's next release.  A vertex is
         # never physically present in two pool positions at once.
         self.claimed = [0] * n
+        # (head slot, link array) of the chains a join's tail and a union
+        # concatenate; built once, as they are on every combine's path.
+        self._pool_links = ((_RH, self.nxt), (_UH, self.nxt))
+        self._union_links = ((_KH, self.pn), (_SH, self.pn), (_FH, self.pn),
+                             *self._pool_links, (_IRH, self.inx), (_IFH, self.inx))
 
     # -- summary constructors -------------------------------------------------
 
@@ -177,109 +184,61 @@ class SolveContext:
         self.pof[v] = pid
         return pid
 
-    def _add_full(self, summ: NodeSummary, u: int, v: int) -> None:
+    def _add_pair(self, summ: NodeSummary, chain: int, u: int, v: int) -> None:
+        """Append a new pair (u, v) to the chain whose head slot is chain."""
         pid = self._new_pair(u, v)
-        tail = summ[_KT]
+        tail = summ[chain + 1]
         if tail < 0:
-            summ[_KH] = pid
+            summ[chain] = pid
         else:
             self.pn[tail] = pid
-        summ[_KT] = pid
-        summ[_KC] += 1
+        summ[chain + 1] = pid
+        summ[chain >> 1] += 1
 
-    def _add_semi(self, summ: NodeSummary, restricted_end: int, free_end: int) -> None:
-        pid = self._new_pair(restricted_end, free_end)
-        tail = summ[_ST]
-        if tail < 0:
-            summ[_SH] = pid
-        else:
-            self.pn[tail] = pid
-        summ[_ST] = pid
-        summ[_SC] += 1
-
-    def _add_free(self, summ: NodeSummary, u: int, v: int) -> None:
-        pid = self._new_pair(u, v)
-        tail = summ[_FT]
-        if tail < 0:
-            summ[_FH] = pid
-        else:
-            self.pn[tail] = pid
-        summ[_FT] = pid
-        summ[_FC] += 1
-
-    def _pop_full(self, summ: NodeSummary) -> tuple[int, int]:
-        """Remove and return the first live full pair (endpoints)."""
+    def _pop_pair(self, summ: NodeSummary, chain: int) -> tuple[int, int]:
+        """Remove the first live pair of the chain whose head slot is chain;
+        its slot goes to the free list.  Returns its endpoints."""
         pn, pu = self.pn, self.pu
-        h = summ[_KH]
+        h = summ[chain]
         while True:
             if h < 0:
-                raise SolverInternalError("full-pair pop from an empty chain")
+                raise SolverInternalError("pair pop from an empty chain")
             pid = h
             h = pn[pid]
-            if pu[pid] < 0:  # dead
-                continue
-            break
-        summ[_KH] = h
+            if pu[pid] >= 0:  # else dead
+                break
+        summ[chain] = h
         if h < 0:
-            summ[_KT] = -1
-        summ[_KC] -= 1
+            summ[chain + 1] = -1
+        summ[chain >> 1] -= 1
         self.free_pids.append(pid)
-        return self.pu[pid], self.pv[pid]
+        return pu[pid], self.pv[pid]
 
-    def _pop_semi(self, summ: NodeSummary) -> tuple[int, int]:
-        """Remove and return the first semi pair as (restricted, free)."""
-        h = summ[_SH]
-        if h < 0:
-            raise SolverInternalError("semi-pair pop from an empty chain")
-        summ[_SH] = self.pn[h]
-        if summ[_SH] < 0:
-            summ[_ST] = -1
-        summ[_SC] -= 1
-        self.free_pids.append(h)
-        return self.pu[h], self.pv[h]
-
-    def _pop_restricted(self, summ: NodeSummary) -> int:
-        """Pop one available vertex from the unmatched-restricted pool."""
+    def _pop_pool(self, summ: NodeSummary, pool: int) -> int:
+        """Pop one available vertex from the pool whose head slot is pool."""
         nxt, claimed = self.nxt, self.claimed
-        h = summ[_RH]
+        h = summ[pool]
         while True:
             if h < 0:
-                raise SolverInternalError("restricted pop from an empty pool")
+                raise SolverInternalError("pop from an empty pool")
             v = h
             h = nxt[v]
             if claimed[v]:
                 claimed[v] -= 1
                 continue
             break
-        summ[_RH] = h
+        summ[pool] = h
         if h < 0:
-            summ[_RT] = -1
+            summ[pool + 1] = -1
         return v
 
-    def _pop_free(self, summ: NodeSummary) -> int:
-        """Pop one available vertex from the unmatched-free pool."""
-        nxt, claimed = self.nxt, self.claimed
-        h = summ[_UH]
-        while True:
-            if h < 0:
-                raise SolverInternalError("free pop from an empty pool")
-            v = h
-            h = nxt[v]
-            if claimed[v]:
-                claimed[v] -= 1
-                continue
-            break
-        summ[_UH] = h
-        if h < 0:
-            summ[_UT] = -1
-        return v
-
-    # Batched forms of the four hot loop shapes; same semantics as composing
+    # Batched forms of the three hot loop shapes; same semantics as composing
     # the single-step helpers, with the chain plumbing hoisted out of the
     # per-pair path.
 
-    def _cross_fulls(self, l: NodeSummary, r: NodeSummary, cnt: int) -> None:
-        """cnt full pairs (left restricted pop, right restricted pop)."""
+    def _cross(self, l: NodeSummary, r: NodeSummary, cnt: int, chain: int, pool: int) -> None:
+        """cnt cross pairs (left restricted pop, right pop from the pool whose
+        head slot is pool) appended to l's chain whose head slot is chain."""
         if cnt <= 0:
             return
         pu, pv, pn = self.pu, self.pv, self.pn
@@ -287,28 +246,28 @@ class SolveContext:
         free = self.free_pids
         take_free = free.pop
         lh = l[_RH]
-        rh = r[_RH]
-        head, tail = l[_KH], l[_KT]
+        rh = r[pool]
+        head, tail = l[chain], l[chain + 1]
         for _ in range(cnt):
             u = lh
             if u < 0:
-                raise SolverInternalError("restricted pop from an empty pool")
+                raise SolverInternalError("pop from an empty pool")
             lh = nxt[u]
             while claimed[u]:
                 claimed[u] -= 1
                 u = lh
                 if u < 0:
-                    raise SolverInternalError("restricted pop from an empty pool")
+                    raise SolverInternalError("pop from an empty pool")
                 lh = nxt[u]
             v = rh
             if v < 0:
-                raise SolverInternalError("restricted pop from an empty pool")
+                raise SolverInternalError("pop from an empty pool")
             rh = nxt[v]
             while claimed[v]:
                 claimed[v] -= 1
                 v = rh
                 if v < 0:
-                    raise SolverInternalError("restricted pop from an empty pool")
+                    raise SolverInternalError("pop from an empty pool")
                 rh = nxt[v]
             if free:
                 pid = take_free()
@@ -330,69 +289,11 @@ class SolveContext:
         l[_RH] = lh
         if lh < 0:
             l[_RT] = -1
-        r[_RH] = rh
+        r[pool] = rh
         if rh < 0:
-            r[_RT] = -1
-        l[_KH], l[_KT] = head, tail
-        l[_KC] += cnt
-
-    def _cross_semis(self, l: NodeSummary, r: NodeSummary, cnt: int) -> None:
-        """cnt semi pairs (left restricted pop, right free pop)."""
-        if cnt <= 0:
-            return
-        pu, pv, pn = self.pu, self.pv, self.pn
-        pof, nxt, claimed = self.pof, self.nxt, self.claimed
-        free = self.free_pids
-        take_free = free.pop
-        lh = l[_RH]
-        rh = r[_UH]
-        head, tail = l[_SH], l[_ST]
-        for _ in range(cnt):
-            u = lh
-            if u < 0:
-                raise SolverInternalError("restricted pop from an empty pool")
-            lh = nxt[u]
-            while claimed[u]:
-                claimed[u] -= 1
-                u = lh
-                if u < 0:
-                    raise SolverInternalError("restricted pop from an empty pool")
-                lh = nxt[u]
-            v = rh
-            if v < 0:
-                raise SolverInternalError("free pop from an empty pool")
-            rh = nxt[v]
-            while claimed[v]:
-                claimed[v] -= 1
-                v = rh
-                if v < 0:
-                    raise SolverInternalError("free pop from an empty pool")
-                rh = nxt[v]
-            if free:
-                pid = take_free()
-                pu[pid] = u
-                pv[pid] = v
-                pn[pid] = -1
-            else:
-                pid = len(pu)
-                pu.append(u)
-                pv.append(v)
-                pn.append(-1)
-            pof[u] = pid
-            pof[v] = pid
-            if tail < 0:
-                head = pid
-            else:
-                pn[tail] = pid
-            tail = pid
-        l[_RH] = lh
-        if lh < 0:
-            l[_RT] = -1
-        r[_UH] = rh
-        if rh < 0:
-            r[_UT] = -1
-        l[_SH], l[_ST] = head, tail
-        l[_SC] += cnt
+            r[pool + 1] = -1
+        l[chain], l[chain + 1] = head, tail
+        l[chain >> 1] += cnt
 
     def _semis_to_fulls(self, l: NodeSummary, r: NodeSummary, cnt: int) -> None:
         """Destroy cnt semi pairs; each restricted endpoint re-pairs with a
@@ -529,19 +430,23 @@ class SolveContext:
         if rh < 0:
             r[_RT] = -1
 
+    def _append_pool(self, summ: NodeSummary, pool: int, v: int) -> None:
+        """Append v to the pool whose head slot is pool."""
+        nxt = self.nxt
+        nxt[v] = -1
+        t = summ[pool + 1]
+        if t < 0:
+            summ[pool] = v
+        else:
+            nxt[t] = v
+        summ[pool + 1] = v
+
     def _push_free(self, summ: NodeSummary, v: int) -> None:
         claimed = self.claimed
         if claimed[v]:
             claimed[v] -= 1  # release suppressed: v was taken out of turn
-            return
-        nxt = self.nxt
-        nxt[v] = -1
-        tail = summ[_UT]
-        if tail < 0:
-            summ[_UH] = v
         else:
-            nxt[tail] = v
-        summ[_UT] = v
+            self._append_pool(summ, _UH, v)
 
     # The bulk releases below append to a pool by writing the link slot of
     # the previous tail only; the final tail is terminated once at the end.
@@ -594,34 +499,16 @@ class SolveContext:
                 ut = w
             free(pid)
             pid = pn[pid]
-        pid = summ[_FH]
-        while pid >= 0:
-            w = pu[pid]
-            if claimed[w]:
-                claimed[w] -= 1
-            elif ut < 0:
-                uh = ut = w
-            else:
-                nxt[ut] = w
-                ut = w
-            w = pv[pid]
-            if claimed[w]:
-                claimed[w] -= 1
-            elif ut < 0:
-                uh = ut = w
-            else:
-                nxt[ut] = w
-                ut = w
-            free(pid)
-            pid = pn[pid]
         if rt >= 0:
             nxt[rt] = -1
         if ut >= 0:
             nxt[ut] = -1
         summ[_RH], summ[_RT] = rh, rt
         summ[_UH], summ[_UT] = uh, ut
-        summ[_KC] = summ[_SC] = summ[_FC] = 0
-        summ[_KH] = summ[_KT] = summ[_SH] = summ[_ST] = summ[_FH] = summ[_FT] = -1
+        summ[_KC] = summ[_SC] = 0
+        summ[_KH] = summ[_KT] = summ[_SH] = summ[_ST] = -1
+        if summ[_FC]:
+            self._drop_free_pairs(summ)
 
     def _drop_free_pairs(self, summ: NodeSummary) -> None:
         """Discard all free pairs; their endpoints return to the free pool."""
@@ -655,46 +542,22 @@ class SolveContext:
         summ[_FC] = 0
         summ[_FH] = summ[_FT] = -1
 
+    def _concat(self, l: NodeSummary, r: NodeSummary, links) -> None:
+        """Append r's chains to l's, for each (head slot, link array) in links."""
+        for h, link in links:
+            rh = r[h]
+            if rh >= 0:
+                if l[h] < 0:
+                    l[h] = rh
+                else:
+                    link[l[h + 1]] = rh
+                l[h + 1] = r[h + 1]
+
     # -- specialized tiny combines -----------------------------------------
     #
     # Two thirds of the internal nodes of a random tree touch a leaf child;
     # these builders produce the exact result of composing leaf_summary with
     # the generic combines, without materializing the leaf records.
-
-    def _leaf2_union(self, u: int, v: int) -> NodeSummary:
-        """Union of two leaves (left u, right v)."""
-        nxt, inx, rflags = self.nxt, self.inx, self.rflags
-        lab = self.labels
-        xu, xv = lab[u], lab[v]
-        if rflags[xu]:
-            if rflags[xv]:
-                nxt[u] = v
-                nxt[v] = -1
-                inx[u] = v
-                inx[v] = -1
-                x, i = (xu, u) if xu < xv else (xv, v)
-                return [2, 2, 0, 0, 0, -1, -1, -1, -1, -1, -1, u, v, -1, -1, u, v, 2,
-                        -1, -1, 0, -1, -1, x, -1, i, -1, "union"]
-            nxt[u] = -1
-            nxt[v] = -1
-            inx[u] = -1
-            inx[v] = -1
-            return [2, 1, 0, 0, 0, -1, -1, -1, -1, -1, -1, u, u, v, v,
-                    u, u, 1, v, v, 1, -1, -1, xu, xv, u, v, "union"]
-        if rflags[xv]:
-            nxt[u] = -1
-            nxt[v] = -1
-            inx[u] = -1
-            inx[v] = -1
-            return [2, 1, 0, 0, 0, -1, -1, -1, -1, -1, -1, v, v, u, u,
-                    v, v, 1, u, u, 1, -1, -1, xv, xu, v, u, "union"]
-        nxt[u] = v
-        nxt[v] = -1
-        inx[u] = v
-        inx[v] = -1
-        x, i = (xu, u) if xu < xv else (xv, v)
-        return [2, 0, 0, 0, 0, -1, -1, -1, -1, -1, -1, -1, -1, u, v,
-                -1, -1, 0, u, v, 2, -1, -1, -1, x, -1, i, "union"]
 
     def _union_append_leaf(self, l: NodeSummary, v: int) -> NodeSummary:
         """Union with a right leaf: append v to the pools of l."""
@@ -831,39 +694,41 @@ class SolveContext:
                 if spare > 0:
                     if s[_FC]:
                         self._drop_free_pairs(s)
-                    self._add_full(s, self._pop_restricted(s), v)
+                    self._add_pair(s, _KH, self._pop_pool(s, _RH), v)
                     case = "cover-right"
                 elif s[_SC]:
                     if s[_FC]:
                         self._drop_free_pairs(s)
-                    self._semi_to_full(s, v)
+                    u, w = self._pop_pair(s, _SH)
+                    self._push_free(s, w)
+                    self._add_pair(s, _KH, u, v)
                     case = "deficit-semi"
                 elif s[_NV] > nr:
                     if s[_FC]:
                         self._drop_free_pairs(s)
-                    self._add_semi(s, v, self._pop_free(s))
+                    self._add_pair(s, _SH, v, self._pop_pool(s, _UH))
                     case = "deficit-odd-left-free"
                 else:
                     if s[_FC]:
                         raise SolverInternalError("all-restricted guard violated")
-                    self._append_pool(s, _RH, _RT, v)
+                    self._append_pool(s, _RH, v)
                     case = "all-restricted-odd"
                 if xf >= 0:
                     s[_WR], s[_WF] = v, xf
             elif nr == 1:
                 if s[_KC] or s[_SC] or s[_FC]:
                     self._spill(s)
-                w = self._pop_restricted(s)
+                w = self._pop_pool(s, _RH)
                 if leaf_left:
-                    self._add_full(s, v, w)
+                    self._add_pair(s, _KH, v, w)
                 else:
-                    self._add_full(s, w, v)
+                    self._add_pair(s, _KH, w, v)
                 s[_WR], s[_WF] = v, xf
                 case = "balanced-cross"
             else:
                 if s[_KC] or s[_SC] or s[_FC]:
                     self._spill(s)
-                self._add_semi(s, v, self._pop_free(s))
+                self._add_pair(s, _SH, v, self._pop_pool(s, _UH))
                 s[_WR], s[_WF] = v, xf
                 case = "cover-plus"
             if s[_XR] < 0 or x < s[_XR]:
@@ -879,32 +744,32 @@ class SolveContext:
                 if s[_KC] or s[_SC] or s[_FC]:
                     self._spill(s)
                 if leaf_left:
-                    self._add_free(s, v, w)
+                    self._add_pair(s, _FH, v, w)
                     h = s[_UH]
                     self.nxt[v] = h
                     s[_UH] = v
                     if h < 0:
                         s[_UT] = v
                 else:
-                    self._add_free(s, w, v)
-                    self._append_pool(s, _UH, _UT, v)
+                    self._add_pair(s, _FH, w, v)
+                    self._append_pool(s, _UH, v)
                 case = "free-cross"
             else:
                 spare = nr - 2 * s[_KC] - s[_SC]
                 if spare > 0:
                     if s[_FC]:
                         self._drop_free_pairs(s)
-                    self._add_semi(s, self._pop_restricted(s), v)
+                    self._add_pair(s, _SH, self._pop_pool(s, _RH), v)
                     case = "cover-right"
                 elif s[_SC]:
                     if s[_FC]:
                         self._drop_free_pairs(s)
-                    u, w = self._pop_semi(s)
+                    u, w = self._pop_pair(s, _SH)
                     self._push_free(s, w)
-                    self._add_semi(s, u, v)
+                    self._add_pair(s, _SH, u, v)
                     case = "move-semi"
                 elif s[_FC] == 0 and s[_IRC] == 0 and s[_IFC] == 0:
-                    self._append_pool(s, _UH, _UT, v)
+                    self._append_pool(s, _UH, v)
                     case = "keep-full"
                 else:
                     leaf = self.leaf_summary(v)
@@ -921,41 +786,6 @@ class SolveContext:
         s[_CASE] = case
         return s
 
-    def _semi_to_full(self, s: NodeSummary, v: int) -> None:
-        """Re-pair the first semi pair's restricted endpoint with v (full,
-        in the same slot, at the full chain's tail); its free partner
-        returns to the pool."""
-        pu, pv, pn = self.pu, self.pv, self.pn
-        pid = s[_SH]
-        if pid < 0:
-            raise SolverInternalError("semi-pair pop from an empty chain")
-        s[_SH] = pn[pid]
-        if s[_SH] < 0:
-            s[_ST] = -1
-        s[_SC] -= 1
-        self._push_free(s, pv[pid])
-        pv[pid] = v
-        pn[pid] = -1
-        self.pof[v] = pid
-        tail = s[_KT]
-        if tail < 0:
-            s[_KH] = pid
-        else:
-            pn[tail] = pid
-        s[_KT] = pid
-        s[_KC] += 1
-
-    def _append_pool(self, s: NodeSummary, head: int, tail: int, v: int) -> None:
-        """Append the fresh vertex v to the pool whose slots are head/tail."""
-        nxt = self.nxt
-        nxt[v] = -1
-        t = s[tail]
-        if t < 0:
-            s[head] = v
-        else:
-            nxt[t] = v
-        s[tail] = v
-
     # -- combines ---------------------------------------------------------
 
     def combine_union(self, left: NodeSummary, right: NodeSummary) -> NodeSummary:
@@ -964,8 +794,6 @@ class SolveContext:
         Both inputs are consumed; the merged record is returned.
         """
         l, r = left, right
-        pn, nxt, inx = self.pn, self.nxt, self.inx
-
         l[_NV] += r[_NV]
         l[_NR] += r[_NR]
         l[_KC] += r[_KC]
@@ -974,48 +802,7 @@ class SolveContext:
         l[_IRC] += r[_IRC]
         l[_IFC] += r[_IFC]
 
-        if r[_KH] >= 0:
-            if l[_KH] < 0:
-                l[_KH] = r[_KH]
-            else:
-                pn[l[_KT]] = r[_KH]
-            l[_KT] = r[_KT]
-        if r[_SH] >= 0:
-            if l[_SH] < 0:
-                l[_SH] = r[_SH]
-            else:
-                pn[l[_ST]] = r[_SH]
-            l[_ST] = r[_ST]
-        if r[_FH] >= 0:
-            if l[_FH] < 0:
-                l[_FH] = r[_FH]
-            else:
-                pn[l[_FT]] = r[_FH]
-            l[_FT] = r[_FT]
-        if r[_RH] >= 0:
-            if l[_RH] < 0:
-                l[_RH] = r[_RH]
-            else:
-                nxt[l[_RT]] = r[_RH]
-            l[_RT] = r[_RT]
-        if r[_UH] >= 0:
-            if l[_UH] < 0:
-                l[_UH] = r[_UH]
-            else:
-                nxt[l[_UT]] = r[_UH]
-            l[_UT] = r[_UT]
-        if r[_IRH] >= 0:
-            if l[_IRH] < 0:
-                l[_IRH] = r[_IRH]
-            else:
-                inx[l[_IRT]] = r[_IRH]
-            l[_IRT] = r[_IRT]
-        if r[_IFH] >= 0:
-            if l[_IFH] < 0:
-                l[_IFH] = r[_IFH]
-            else:
-                inx[l[_IFT]] = r[_IFH]
-            l[_IFT] = r[_IFT]
+        self._concat(l, r, self._union_links)
 
         if l[_WR] < 0 and r[_WR] >= 0:
             l[_WR] = r[_WR]
@@ -1072,7 +859,7 @@ class SolveContext:
                 self._spill(l)
             if r[_KC] or r[_SC] or r[_FC]:
                 self._spill(r)
-            self._add_free(l, vl, vr)
+            self._add_pair(l, _FH, vl, vr)
             case = "free-cross"
         elif rl == rr:
             # Equal restricted counts: discard both solutions and pair the
@@ -1082,7 +869,7 @@ class SolveContext:
                 self._spill(l)
             if r[_KC] or r[_SC] or r[_FC]:
                 self._spill(r)
-            self._cross_fulls(l, r, rl)
+            self._cross(l, r, rl, _KH, _RH)
             case = "balanced-cross"
         else:
             kl = l[_KC]
@@ -1097,6 +884,10 @@ class SolveContext:
                 )
             if r[_KC] or r[_SC] or r[_FC]:
                 self._spill(r)
+            # Every case below either drops the kept free pairs or requires
+            # fl == 0, so they go now; the guards read fl.
+            if fl:
+                self._drop_free_pairs(l)
             if spare > 0 and spare >= res_r:
                 # The spare pool covers every right restricted vertex (full
                 # pairs) and as many right free vertices as it can reach
@@ -1110,20 +901,16 @@ class SolveContext:
                     case = "cover-plus"  # all spares matched, free right left over
                 else:
                     case = "exact-cross"  # spare == res_r, spare pool exactly used
-                if l[_FC]:
-                    self._drop_free_pairs(l)
-                self._cross_fulls(l, r, res_r)
-                self._cross_semis(l, r, semis)
+                self._cross(l, r, res_r, _KH, _RH)
+                self._cross(l, r, semis, _SH, _UH)
             elif spare == res_r:  # both zero: the right side is entirely free
                 if sl:
                     # Re-pair one semi's restricted endpoint across the cut;
                     # the cross pair dominates both sides, the old free
                     # partner is released.
-                    if l[_FC]:
-                        self._drop_free_pairs(l)
-                    u, v = self._pop_semi(l)
+                    u, v = self._pop_pair(l, _SH)
                     self._push_free(l, v)
-                    self._add_semi(l, u, self._pop_free(r))
+                    self._add_pair(l, _SH, u, self._pop_pool(r, _UH))
                     case = "move-semi"
                 elif fl == 0 and l[_IRC] == 0 and l[_IFC] == 0:
                     # The kept full pairs already dominate their own side,
@@ -1132,19 +919,15 @@ class SolveContext:
                 elif free_r >= 2:
                     # Split one full pair across two right free vertices:
                     # same matched count, no free pair.
-                    if l[_FC]:
-                        self._drop_free_pairs(l)
-                    a, b = self._pop_full(l)
-                    self._add_semi(l, a, self._pop_free(r))
-                    self._add_semi(l, b, self._pop_free(r))
+                    a, b = self._pop_pair(l, _KH)
+                    self._add_pair(l, _SH, a, self._pop_pool(r, _UH))
+                    self._add_pair(l, _SH, b, self._pop_pool(r, _UH))
                     case = "split-full"
                 elif l[_WR] >= 0:
                     # One right free vertex only, and the left side has a
                     # restricted-free edge: split the witness's full pair,
                     # sending its partner across and re-pairing the witness
                     # endpoint along its own edge.
-                    if l[_FC]:
-                        self._drop_free_pairs(l)
                     w_res, w_free = l[_WR], l[_WF]
                     pid = self.pof[w_res]
                     if pid < 0 or (self.pu[pid] != w_res and self.pv[pid] != w_res):
@@ -1153,15 +936,15 @@ class SolveContext:
                     self.pu[pid] = -1  # dead; chain walkers skip it
                     l[_KC] -= 1
                     claimed[w_free] += 1
-                    self._add_semi(l, partner, self._pop_free(r))
-                    self._add_semi(l, w_res, w_free)
+                    self._add_pair(l, _SH, partner, self._pop_pool(r, _UH))
+                    self._add_pair(l, _SH, w_res, w_free)
                     case = "witness-split"
                 else:
                     # Every restricted vertex's whole neighborhood is
                     # restricted; one free pair is unavoidable.
-                    if l[_FC]:
-                        self._drop_free_pairs(l)
-                    self._add_free(l, self._pop_free(l), self._pop_free(r))
+                    self._add_pair(
+                        l, _FH, self._pop_pool(l, _UH), self._pop_pool(r, _UH)
+                    )
                     case = "free-bridge"
             else:
                 # Deficit: more restricted vertices on the right than the
@@ -1174,8 +957,6 @@ class SolveContext:
                     raise SolverInternalError(
                         f"deficit guard: kl={kl} sl={sl} deficit={deficit}"
                     )
-                if l[_FC]:
-                    self._drop_free_pairs(l)
                 # With an odd full-pair leftover the parity fix may need the
                 # right side's witness edge; its restricted endpoint must be
                 # reserved now, before the loops below drain the pool.
@@ -1185,7 +966,7 @@ class SolveContext:
                     odd_witness = (r[_WR], r[_WF])
                     claimed[odd_witness[0]] += 1
                     claimed[odd_witness[1]] += 1
-                self._cross_fulls(l, r, spare)
+                self._cross(l, r, spare, _KH, _RH)
                 if deficit <= sl:
                     self._semis_to_fulls(l, r, deficit)
                     case = "deficit-semi"
@@ -1196,21 +977,21 @@ class SolveContext:
                         # vertex) restores even parity.
                         if l[_NV] - rl > 0:
                             # A free vertex exists on the kept side.
-                            self._add_semi(
-                                l, self._pop_restricted(r), self._pop_free(l)
+                            self._add_pair(
+                                l, _SH, self._pop_pool(r, _RH), self._pop_pool(l, _UH)
                             )
                             case = "deficit-odd-left-free"
                         elif odd_witness is not None:
                             # The right side has a restricted-free edge; its
                             # free endpoint is necessarily non-isolated.
-                            self._add_semi(l, odd_witness[0], odd_witness[1])
+                            self._add_pair(l, _SH, odd_witness[0], odd_witness[1])
                             case = "deficit-odd-witness"
                         elif free_r > 0:
                             # Only unattached right free vertices: split one
                             # kept full pair to reach one of them.
-                            a, partner = self._pop_full(l)
-                            self._add_full(l, partner, self._pop_restricted(r))
-                            self._add_semi(l, a, self._pop_free(r))
+                            a, partner = self._pop_pair(l, _KH)
+                            self._add_pair(l, _KH, partner, self._pop_pool(r, _RH))
+                            self._add_pair(l, _SH, a, self._pop_pool(r, _UH))
                             case = "deficit-odd-split"
                         else:
                             # Everything is restricted and the order is odd:
@@ -1228,19 +1009,7 @@ class SolveContext:
 
         # Common tail: absorb the remaining right pools, clear isolation,
         # install graph-level aggregates.
-        nxt = self.nxt
-        if r[_RH] >= 0:
-            if l[_RH] < 0:
-                l[_RH] = r[_RH]
-            else:
-                nxt[l[_RT]] = r[_RH]
-            l[_RT] = r[_RT]
-        if r[_UH] >= 0:
-            if l[_UH] < 0:
-                l[_UH] = r[_UH]
-            else:
-                nxt[l[_UT]] = r[_UH]
-            l[_UT] = r[_UT]
+        self._concat(l, r, self._pool_links)
         l[_IRH] = l[_IRT] = l[_IFH] = l[_IFT] = -1
         l[_IRC] = l[_IFC] = 0
         l[_NV] += r[_NV]
@@ -1407,13 +1176,14 @@ class SolveContext:
         next_id = iter(list(range(self.n))).__next__
         # Leaves ride the value stack as bare vertex ids; a combine whose
         # operand is an int routes through the specialized tiny builders
-        # (or materializes a real leaf record for the generic joint path).
+        # (or materializes a real leaf record: the left leaf of a union of
+        # two leaves, or an operand of the generic joint path).
         vals: list = []
         push = vals.append
         pop = vals.pop
         union = self.combine_union
         joint = self.combine_joint
-        leaf2_union = self._leaf2_union
+        leaf_summary = self.leaf_summary
         append_leaf = self._union_append_leaf
         prepend_leaf = self._union_prepend_leaf
         leaf2_joint = self._leaf2_joint
@@ -1426,7 +1196,7 @@ class SolveContext:
                 l = vals[-1]
                 if type(r) is int:
                     if type(l) is int:
-                        vals[-1] = leaf2_union(l, r)
+                        vals[-1] = append_leaf(leaf_summary(l), r)
                     else:
                         vals[-1] = append_leaf(l, r)
                 elif type(l) is int:

@@ -11,8 +11,10 @@ from pairdom.cli import (
     EXIT_NOT_COGRAPH,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    _parse_restricted_arg,
     main,
 )
+from pairdom.cotree import DEFAULT_EDGE_CAP
 from conftest import cube_graph, path_graph
 
 
@@ -66,6 +68,45 @@ class TestSolve:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "beta 1" in out
+
+    def test_tree_above_the_edge_cap_solves(self, tmp_path, capsys):
+        # K_{8000,8000}: 64M edges, above the default materialization cap,
+        # which solve never builds.
+        half = 8000
+        assert half * half > DEFAULT_EDGE_CAP
+        left = " ".join(map(str, range(half)))
+        right = " ".join(map(str, range(half, 2 * half)))
+        ct = write(tmp_path, "kb.ct", f"(* (+ {left}) (+ {right}))\n")
+        code = main(["solve", "--cotree", ct, "--restricted", f"0, {half}"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == f"beta 2\nkfs 1 0 0\npair 0 {half} full\n"
+
+    @pytest.mark.parametrize("spec", ["0,1", "0, 1", " 0 1 ", "1,\t0,"])
+    def test_inline_restricted_list(self, k2_cotree, capsys, spec):
+        assert _parse_restricted_arg(spec, 2).members() == [0, 1]
+        code = main(["solve", "--cotree", k2_cotree, "--restricted", spec])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "beta 2\nkfs 1 0 0\npair 0 1 full\n"
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["solve"], ["frobnicate"], ["solve", "--cotree", "t.ct", "--bogus"],
+         ["solve", "--cotree", "t.ct", "--edge-cap", "5"], ["gen", "-n", "ten"]],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_INPUT
+        assert "usage: pairdom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_OK
+        assert "usage: pairdom" in capsys.readouterr().out
 
 
 class TestVerify:

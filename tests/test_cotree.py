@@ -53,6 +53,15 @@ class TestParse:
             parse_cotree("(* 0 1")
         assert err.value.position == 0
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("(+ 0 (* 1 1))", 10), ("(* 0 2)", 5), ("(+ 0\n (* 5 1))", 9)],
+    )
+    def test_leaf_label_error_position(self, text, position):
+        with pytest.raises(CotreeParseError) as err:
+            parse_cotree(text)
+        assert err.value.position == position
+
     def test_trailing_garbage(self):
         with pytest.raises(CotreeParseError, match="trailing"):
             parse_cotree("(* 0 1) 2")
