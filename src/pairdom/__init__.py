@@ -21,6 +21,7 @@ from .cotree import (
     random_restricted,
     recognize,
     serialize_cotree,
+    verify_on_tree,
 )
 from .graphs import (
     Certificate,
@@ -95,5 +96,6 @@ __all__ = [
     "recognize",
     "serialize_cotree",
     "solve",
+    "verify_on_tree",
     "verify_solution",
 ]

@@ -23,6 +23,7 @@ import re
 import statistics
 import sys
 import time
+from functools import partial
 from typing import NoReturn, Optional, Sequence
 
 from .cotree import (
@@ -35,6 +36,7 @@ from .cotree import (
     random_restricted,
     recognize,
     serialize_cotree,
+    verify_on_tree,
 )
 from .graphs import (
     GraphError,
@@ -140,14 +142,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # A tree is checked on itself: only graph input has edges to look up.
     if args.cotree is not None:
         tree = parse_cotree(_read(args.cotree))
-        graph = materialize(tree, edge_cap=args.edge_cap)
+        n, check = tree.leaf_count, partial(verify_on_tree, tree)
     else:
         graph = parse_graph_text(_read(args.graph))
-    restricted = _parse_restricted_arg(args.restricted, graph.n)
+        n, check = graph.n, partial(verify_solution, graph)
+    restricted = _parse_restricted_arg(args.restricted, n)
     beta, (k, s, f), pairs = parse_solution_text(_read(args.solution))
-    report = verify_solution(graph, restricted, pairs)
+    report = check(restricted, pairs)
     print(f"valid {str(report.valid).lower()}")
     print(f"kfs {report.k} {report.s} {report.f}")
     print(f"matched {report.matched_number}")
@@ -278,14 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--graph", required=True, help="graph file (p/e format)")
 
-    def add_edge_cap(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--edge-cap",
-            type=int,
-            default=DEFAULT_EDGE_CAP,
-            help="materialization edge cap (guards dense joins)",
-        )
-
     p = sub.add_parser("solve", help="solve one instance")
     add_instance_args(p)
     p.add_argument("--restricted", help="file path or inline comma list (default: empty)")
@@ -294,14 +290,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a solution file against an instance")
     add_instance_args(p)
-    add_edge_cap(p)
     p.add_argument("--restricted", help="file path or inline comma list (default: empty)")
     p.add_argument("--solution", required=True, help="solution file to check")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive optimum for small instances")
     add_instance_args(p)
-    add_edge_cap(p)
+    p.add_argument(
+        "--edge-cap",
+        type=int,
+        default=DEFAULT_EDGE_CAP,
+        help="materialization edge cap (guards dense joins)",
+    )
     p.add_argument("--restricted", help="file path or inline comma list (default: empty)")
     p.add_argument("--gamma-p", action="store_true", help="print the paired-domination number only")
     p.add_argument(
@@ -328,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recognize", help="decompose a graph or print a P4 witness")
     add_instance_args(p, graph_only=True)
-    add_edge_cap(p)
     p.set_defaults(func=_cmd_recognize)
 
     p = sub.add_parser("bench", help="timing table over generated instances")

@@ -17,9 +17,15 @@ from __future__ import annotations
 
 import random
 import re
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence, Union
 
-from .graphs import Graph, GraphError, RestrictedSet
+from .graphs import (
+    Graph,
+    GraphError,
+    RestrictedSet,
+    VerificationReport,
+    _verification_report,
+)
 
 __all__ = [
     "LEAF",
@@ -32,6 +38,7 @@ __all__ = [
     "parse_cotree",
     "serialize_cotree",
     "materialize",
+    "verify_on_tree",
     "recognize",
     "random_cotree",
     "random_restricted",
@@ -336,6 +343,103 @@ def materialize(tree: Cotree, edge_cap: int = DEFAULT_EDGE_CAP) -> Graph:
     for row in adj:
         row.sort()
     return Graph(n, adj, m)
+
+
+def verify_on_tree(
+    tree: Cotree, restricted: RestrictedSet, pairs: Sequence[tuple[int, int]]
+) -> VerificationReport:
+    """The report :func:`~pairdom.graphs.verify_solution` gives on the
+    tree's materialized graph, for every input, without building an edge.
+
+    Two leaves are adjacent exactly when their lowest common ancestor is a
+    join node, and a vertex is dominated exactly when it is matched or some
+    join ancestor has a matched vertex under the child that does not contain
+    it.  Both are decided in near-linear time over one postorder.
+    """
+    order = tree.postorder()
+    return _verification_report(
+        tree.leaf_count,
+        restricted,
+        pairs,
+        lambda candidates: _lca_is_join(tree, order, candidates),
+        lambda mark: _dominates(tree, order, mark),
+    )
+
+
+def _lca_is_join(
+    tree: Cotree, order: list[int], pairs: list[tuple[int, int]]
+) -> list[bool]:
+    """Whether each pair of distinct leaves has a join node as its LCA.
+
+    Tarjan's offline LCA with union-find over the postorder ``order``: a
+    finished node is linked to its parent when the parent finishes.  A pair
+    is answered at whichever of its leaves finishes second: the set root of
+    the earlier leaf is then its highest finished ancestor, whose parent --
+    unfinished, so also an ancestor of the current leaf -- is the LCA.
+    """
+    kind, a, b = tree.kind, tree.a, tree.b
+    nodes = len(kind)
+    # Each pair is queued at both of its leaves: entry 2j at pairs[j][0],
+    # entry 2j + 1 at pairs[j][1], linked per vertex through ``after``.
+    first = [-1] * tree.leaf_count
+    after = [-1] * (2 * len(pairs))
+    entry = 0
+    for u, v in pairs:
+        after[entry] = first[u]
+        first[u] = entry
+        after[entry + 1] = first[v]
+        first[v] = entry + 1
+        entry += 2
+    parent = [-1] * nodes
+    for i in order:
+        if kind[i] != LEAF:
+            parent[a[i]] = parent[b[i]] = i
+    link = list(range(nodes))
+    leaf_node = [-1] * tree.leaf_count  # set once the leaf is finished
+    answers = [False] * len(pairs)
+    for i in order:
+        if kind[i] != LEAF:
+            link[a[i]] = link[b[i]] = i
+            continue
+        x = a[i]
+        leaf_node[x] = i
+        entry = first[x]
+        while entry >= 0:
+            node = leaf_node[pairs[entry >> 1][~entry & 1]]
+            if node >= 0:
+                root = node
+                while link[root] != root:
+                    root = link[root]
+                while link[node] != root:
+                    link[node], node = root, link[node]
+                answers[entry >> 1] = kind[parent[root]] == JOIN
+            entry = after[entry]
+    return answers
+
+
+def _dominates(tree: Cotree, order: list[int], mark: bytearray) -> bool:
+    """Whether the leaves flagged in ``mark`` dominate the tree's graph.
+
+    Bottom-up, count the marked leaves under each node; then top-down, a
+    child sees a mark when its parent does or its parent is a join whose
+    other child holds one.  An unmarked leaf that sees no mark is
+    undominated.
+    """
+    kind, a, b = tree.kind, tree.a, tree.b
+    below = [0] * len(kind)
+    for i in order:
+        below[i] = mark[a[i]] if kind[i] == LEAF else below[a[i]] + below[b[i]]
+    sees = bytearray(len(kind))
+    for i in reversed(order):
+        if kind[i] == LEAF:
+            if not (mark[a[i]] or sees[i]):
+                return False
+        elif kind[i] == JOIN:
+            sees[a[i]] = sees[i] or below[b[i]] > 0
+            sees[b[i]] = sees[i] or below[a[i]] > 0
+        else:
+            sees[a[i]] = sees[b[i]] = sees[i]
+    return True
 
 
 def is_induced_p4(graph: Graph, witness: P4Witness) -> bool:

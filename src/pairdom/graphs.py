@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "EdgeClass",
@@ -322,19 +322,31 @@ def classify_edge(edge: tuple[int, int], restricted: RestrictedSet) -> EdgeClass
     return EdgeClass.FREE
 
 
-def _matching_problems(graph: Graph, pairs: Sequence[tuple[int, int]]) -> list[str]:
-    """All reasons ``pairs`` fails to be a matching of ``graph`` (empty = ok)."""
+def _matching_problems(
+    n: int,
+    pairs: Sequence[tuple[int, int]],
+    are_edges: Callable[[list[tuple[int, int]]], Sequence[bool]],
+) -> list[str]:
+    """All reasons ``pairs`` fails to be a matching (empty = ok).
+
+    ``are_edges`` is called once, with the pairs of two distinct in-range
+    vertices in input order, and answers for each whether it is an edge.
+    """
+    candidates = [
+        (p[0], p[1]) for p in pairs if 0 <= p[0] < n and 0 <= p[1] < n and p[0] != p[1]
+    ]
+    answers = iter(are_edges(candidates))
     problems = []
-    used = bytearray(graph.n)
+    used = bytearray(n)
     for p in pairs:
         u, v = p[0], p[1]
-        if not (0 <= u < graph.n) or not (0 <= v < graph.n):
+        if not (0 <= u < n) or not (0 <= v < n):
             problems.append(f"bad-vertex {u} {v}")
             continue
         if u == v:
             problems.append(f"self-pair {u}")
             continue
-        if not graph.has_edge(u, v):
+        if not next(answers):
             problems.append(f"not-an-edge {min(u, v)} {max(u, v)}")
         for x in (u, v):
             if used[x]:
@@ -343,13 +355,17 @@ def _matching_problems(graph: Graph, pairs: Sequence[tuple[int, int]]) -> list[s
     return problems
 
 
+def _graph_edges(graph: Graph) -> Callable[[list[tuple[int, int]]], list[bool]]:
+    return lambda pairs: [graph.has_edge(u, v) for u, v in pairs]
+
+
 def is_matching(graph: Graph, pairs: Sequence[tuple[int, int]]) -> bool:
     """True iff every pair is an edge of ``graph`` and no vertex repeats.
 
     Malformed pairs (out-of-range ids, self-pairs) simply yield ``False``;
     use :func:`verify_solution` for the reasons.
     """
-    return not _matching_problems(graph, pairs)
+    return not _matching_problems(graph.n, pairs, _graph_edges(graph))
 
 
 def is_dominating(graph: Graph, vertices: Iterable[int]) -> bool:
@@ -383,19 +399,35 @@ def verify_solution(
     exists or is needed.)  Statistics are recomputed here; a certificate is
     attached when one of the two cheap canonicity proofs applies.
     """
-    problems = _matching_problems(graph, pairs)
+    return _verification_report(
+        graph.n,
+        restricted,
+        pairs,
+        _graph_edges(graph),
+        lambda mark: is_dominating(graph, [v for v in range(graph.n) if mark[v]]),
+    )
+
+
+def _verification_report(
+    n: int,
+    restricted: RestrictedSet,
+    pairs: Sequence[tuple[int, int]],
+    are_edges: Callable[[list[tuple[int, int]]], Sequence[bool]],
+    dominates: Callable[[bytearray], bool],
+) -> VerificationReport:
+    """The report of :func:`verify_solution` on an ``n``-vertex graph that
+    is known only through two answers: ``are_edges`` (see
+    :func:`_matching_problems`) and ``dominates``, called once with the
+    0/1 flags of the vertices the in-range pairs touch."""
+    problems = _matching_problems(n, pairs, are_edges)
     matching_ok = not problems
 
     k = s = f = 0
-    vertex_count = 0
-    mark = bytearray(graph.n)
+    mark = bytearray(n)
     for p in pairs:
         u, v = p[0], p[1]
-        if 0 <= u < graph.n and 0 <= v < graph.n:
-            for x in (u, v):
-                if not mark[x]:
-                    mark[x] = 1
-                    vertex_count += 1
+        if 0 <= u < n and 0 <= v < n:
+            mark[u] = mark[v] = 1
             c = classify_edge((u, v), restricted)
             if c is EdgeClass.FULL:
                 k += 1
@@ -404,10 +436,10 @@ def verify_solution(
             else:
                 f += 1
 
-    dominating_ok = is_dominating(graph, [v for v in range(graph.n) if mark[v]])
+    dominating_ok = dominates(mark)
     valid = matching_ok and dominating_ok
     matched = 2 * k + s if matching_ok else sum(
-        1 for v in range(graph.n) if mark[v] and v in restricted
+        1 for v in range(n) if mark[v] and v in restricted
     )
 
     certificate = Certificate.NONE
@@ -416,7 +448,7 @@ def verify_solution(
         npairs = len(pairs)
         if matched == r and npairs == (r + 1) // 2:
             certificate = Certificate.ALL_RESTRICTED_TIGHT
-        elif graph.n == r and r % 2 == 1 and matched == r - 1 and npairs == r // 2:
+        elif n == r and r % 2 == 1 and matched == r - 1 and npairs == r // 2:
             certificate = Certificate.ODD_ALL_BUT_ONE
 
     return VerificationReport(

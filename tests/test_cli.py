@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from pairdom import format_graph_text, materialize, parse_cotree, parse_graph_text
+from pairdom import (
+    format_graph_text,
+    materialize,
+    parse_cotree,
+    parse_graph_text,
+    random_cotree,
+    serialize_cotree,
+)
 from pairdom.cli import (
     EXIT_INPUT,
     EXIT_NO_SOLUTION,
@@ -14,7 +21,7 @@ from pairdom.cli import (
     _parse_restricted_arg,
     main,
 )
-from pairdom.cotree import DEFAULT_EDGE_CAP
+from pairdom.cotree import DEFAULT_EDGE_CAP, JOIN
 from conftest import cube_graph, path_graph
 
 
@@ -93,7 +100,9 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [[], ["solve"], ["frobnicate"], ["solve", "--cotree", "t.ct", "--bogus"],
-         ["solve", "--cotree", "t.ct", "--edge-cap", "5"], ["gen", "-n", "ten"]],
+         ["solve", "--cotree", "t.ct", "--edge-cap", "5"], ["gen", "-n", "ten"],
+         ["verify", "--cotree", "t.ct", "--solution", "s.txt", "--edge-cap", "5"],
+         ["recognize", "--graph", "p3.g", "--edge-cap", "0"]],
     )
     def test_usage_error_exits_1(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -141,6 +150,47 @@ class TestVerify:
         sol = write(tmp_path, "sol.txt", "pair 0 1 full\n")
         code = main(["verify", "--cotree", k2_cotree, "--solution", sol])
         assert code == EXIT_INPUT
+
+    def test_tree_above_the_edge_cap_verifies(self, tmp_path, capsys):
+        # K_{8000,8000}: 64M edges; verify checks the tree without them.
+        half = 8000
+        assert half * half > DEFAULT_EDGE_CAP
+        left = " ".join(map(str, range(half)))
+        right = " ".join(map(str, range(half, 2 * half)))
+        ct = write(tmp_path, "kb.ct", f"(* (+ {left}) (+ {right}))\n")
+        sol = write(tmp_path, "sol.txt", f"beta 2\nkfs 1 0 0\npair 0 {half} full\n")
+        code = main(["verify", "--cotree", ct, "--restricted", f"0, {half}", "--solution", sol])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (
+            "valid true\nkfs 1 0 0\nmatched 2\ncertificate all-restricted-tight\n"
+        )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [None, "beta 9\nkfs 9 9 9\n", "pair 0 1 full\n", "pair 4 4 free\n",
+         "pair 3 12 free\n", "pair -1 2 semi\n", "pair 2 5 semi\npair 5 7 free\n", "drop"],
+        ids=["solved", "stale", "extra", "self", "range", "negative", "reused", "dropped"],
+    )
+    def test_cotree_and_graph_input_agree(self, tmp_path, capsys, rows):
+        tree = random_cotree(12, 0.4, 21)
+        tree.kind[tree.root] = JOIN
+        ct = write(tmp_path, "t.ct", serialize_cotree(tree) + "\n")
+        g = write(tmp_path, "t.g", format_graph_text(materialize(tree)))
+        rs = "0,2,5,7,8"
+        sol = tmp_path / "sol.txt"
+        assert main(["solve", "--cotree", ct, "--restricted", rs, "--output", str(sol)]) == 0
+        text = sol.read_text()
+        if rows == "drop":
+            text = "".join(text.splitlines(keepends=True)[:-1])
+        elif rows is not None:
+            text += rows
+        sol.write_text(text)
+        outcomes = []
+        for source in (["--cotree", ct], ["--graph", g]):
+            code = main(["verify", *source, "--restricted", rs, "--solution", str(sol)])
+            outcomes.append((code, capsys.readouterr().out))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][0] == EXIT_OK) == (rows is None)
 
 
 class TestOracle:
