@@ -74,17 +74,20 @@ def parse_solution_text(text: str) -> tuple[int, tuple[int, int, int], list[tupl
         if not line or line.startswith("#"):
             continue
         fields = line.split()
+        head = fields[0]
         try:
-            if fields[0] == "beta" and len(fields) == 2:
+            if head == "beta" and len(fields) == 2 and beta is None:
                 beta = int(fields[1])
-            elif fields[0] == "kfs" and len(fields) == 4:
+            elif head == "kfs" and len(fields) == 4 and kfs is None:
                 kfs = (int(fields[1]), int(fields[2]), int(fields[3]))
-            elif fields[0] == "pair" and len(fields) == 4:
+            elif head == "pair" and len(fields) == 4 and fields[3] in ("full", "semi", "free"):
                 pairs.append((int(fields[1]), int(fields[2])))
             else:
                 raise ValueError
         except ValueError:
-            raise GraphError(f"solution line {lineno}: cannot parse {line!r}") from None
+            seen = {"beta": beta, "kfs": kfs}.get(head) is not None
+            problem = f"repeated {head} header" if seen else "cannot parse"
+            raise GraphError(f"solution line {lineno}: {problem} {line!r}") from None
     if beta is None or kfs is None:
         raise GraphError("solution file is missing the beta/kfs headers")
     return beta, kfs, pairs

@@ -76,7 +76,8 @@ class EdgeClass(enum.Enum):
 
 
 class Certificate(enum.Enum):
-    """Cheap canonicity certificates computed by :func:`verify_solution`.
+    """Cheap canonicity certificates computed by :func:`verify_solution`
+    and :func:`~pairdom.cotree.verify_on_tree`.
 
     ``ALL_RESTRICTED_TIGHT``: every restricted vertex is matched and the
     solution uses the fewest pairs that could possibly achieve that
@@ -237,7 +238,8 @@ class MPDSolution:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of :func:`verify_solution`; invalidity is data, not an error.
+    """Outcome of :func:`verify_solution` and
+    :func:`~pairdom.cotree.verify_on_tree`; invalidity is data, not an error.
 
     ``k``, ``s``, ``f`` and ``matched_number`` are recomputed from scratch,
     never copied from the solution under test.  ``problems`` holds short

@@ -59,12 +59,11 @@ _SH, _ST = 7, 8  # semi-pair chain; restricted endpoint stored first
 _FH, _FT = 9, 10  # free-pair chain
 _RH, _RT = 11, 12  # pool: unmatched restricted vertices
 _UH, _UT = 13, 14  # pool: unmatched free vertices
-_IRH, _IRT, _IRC = 15, 16, 17  # isolated restricted vertices (chain + count)
-_IFH, _IFT, _IFC = 18, 19, 20  # isolated free vertices
-_WR, _WF = 21, 22  # witness restricted-free edge inside the subtree (-1 none)
-_XR, _XF = 23, 24  # exemplars: smallest restricted / free label (-1 none)
-_XRI, _XFI = 25, 26  # the exemplars' vertex ids
-_CASE = 27  # tag of the rule that produced this summary
+_IC = 15  # isolated vertices in the subtree graph
+_WR, _WF = 16, 17  # witness restricted-free edge inside the subtree (-1 none)
+_XR, _XF = 18, 19  # exemplars: smallest restricted / free label (-1 none)
+_XRI, _XFI = 20, 21  # the exemplars' vertex ids
+_CASE = 22  # tag of the rule that produced this summary
 # The chain and pool helpers take a head slot: its tail is the next slot, and
 # a pair chain's count sits at half its head slot (_KH >> 1 == _KC, ...).
 
@@ -90,8 +89,7 @@ class SummaryView:
     free_pairs: tuple[tuple[int, int], ...]
     unmatched_restricted: tuple[int, ...]
     unmatched_free: tuple[int, ...]
-    isolated_restricted: tuple[int, ...]
-    isolated_free: tuple[int, ...]
+    isolated_count: int
     rf_witness: Optional[tuple[int, int]]
     exemplar_restricted: Optional[int]
     exemplar_free: Optional[int]
@@ -134,7 +132,6 @@ class SolveContext:
         self.free_pids: list[int] = []
         self.pof = [-1] * n  # vertex -> pair id; valid only while matched
         self.nxt = [-1] * n  # link slot for the unmatched pools
-        self.inx = [-1] * n  # link slot for the isolated chains
         # claimed[v] > 0 means v was consumed out of turn by a construction
         # that picked it directly (exemplar or witness vertex); the pending
         # count is settled either by skipping v's pool entry when a pop or a
@@ -145,7 +142,7 @@ class SolveContext:
         # concatenate; built once, as they are on every combine's path.
         self._pool_links = ((_RH, self.nxt), (_UH, self.nxt))
         self._union_links = ((_KH, self.pn), (_SH, self.pn), (_FH, self.pn),
-                             *self._pool_links, (_IRH, self.inx), (_IFH, self.inx))
+                             *self._pool_links)
 
     # -- summary constructors -------------------------------------------------
 
@@ -158,12 +155,11 @@ class SolveContext:
         v = vertex
         x = self.labels[v]
         self.nxt[v] = -1
-        self.inx[v] = -1
         if self.rflags[x]:
             return [1, 1, 0, 0, 0, -1, -1, -1, -1, -1, -1, v, v, -1, -1,
-                    v, v, 1, -1, -1, 0, -1, -1, x, -1, v, -1, "leaf"]
+                    1, -1, -1, x, -1, v, -1, "leaf"]
         return [1, 0, 0, 0, 0, -1, -1, -1, -1, -1, -1, -1, -1, v, v,
-                -1, -1, 0, v, v, 1, -1, -1, -1, x, -1, v, "leaf"]
+                1, -1, -1, -1, x, -1, v, "leaf"]
 
     # -- chain primitives ------------------------------------------------------
 
@@ -561,9 +557,10 @@ class SolveContext:
 
     def _union_append_leaf(self, l: NodeSummary, v: int) -> NodeSummary:
         """Union with a right leaf: append v to the pools of l."""
-        nxt, inx = self.nxt, self.inx
+        nxt = self.nxt
         x = self.labels[v]
         l[_NV] += 1
+        l[_IC] += 1
         if self.rflags[x]:
             l[_NR] += 1
             nxt[v] = -1
@@ -573,14 +570,6 @@ class SolveContext:
             else:
                 nxt[t] = v
             l[_RT] = v
-            inx[v] = -1
-            t = l[_IRT]
-            if t < 0:
-                l[_IRH] = v
-            else:
-                inx[t] = v
-            l[_IRT] = v
-            l[_IRC] += 1
             if l[_XR] < 0 or x < l[_XR]:
                 l[_XR] = x
                 l[_XRI] = v
@@ -592,14 +581,6 @@ class SolveContext:
             else:
                 nxt[t] = v
             l[_UT] = v
-            inx[v] = -1
-            t = l[_IFT]
-            if t < 0:
-                l[_IFH] = v
-            else:
-                inx[t] = v
-            l[_IFT] = v
-            l[_IFC] += 1
             if l[_XF] < 0 or x < l[_XF]:
                 l[_XF] = x
                 l[_XFI] = v
@@ -608,9 +589,10 @@ class SolveContext:
 
     def _union_prepend_leaf(self, v: int, r: NodeSummary) -> NodeSummary:
         """Union with a left leaf: prepend v to the pools of r."""
-        nxt, inx = self.nxt, self.inx
+        nxt = self.nxt
         x = self.labels[v]
         r[_NV] += 1
+        r[_IC] += 1
         if self.rflags[x]:
             r[_NR] += 1
             h = r[_RH]
@@ -618,12 +600,6 @@ class SolveContext:
             r[_RH] = v
             if h < 0:
                 r[_RT] = v
-            h = r[_IRH]
-            inx[v] = h
-            r[_IRH] = v
-            if h < 0:
-                r[_IRT] = v
-            r[_IRC] += 1
             if r[_XR] < 0 or x < r[_XR]:
                 r[_XR] = x
                 r[_XRI] = v
@@ -633,12 +609,6 @@ class SolveContext:
             r[_UH] = v
             if h < 0:
                 r[_UT] = v
-            h = r[_IFH]
-            inx[v] = h
-            r[_IFH] = v
-            if h < 0:
-                r[_IFT] = v
-            r[_IFC] += 1
             if r[_XF] < 0 or x < r[_XF]:
                 r[_XF] = x
                 r[_XFI] = v
@@ -670,13 +640,13 @@ class SolveContext:
         if fv:
             x, i = (xu, u) if xu < xv else (xv, v)
             return [2, 2, 1, 0, 0, pid, pid, -1, -1, -1, -1, -1, -1, -1, -1,
-                    -1, -1, 0, -1, -1, 0, -1, -1, x, -1, i, -1, "balanced-cross"]
+                    0, -1, -1, x, -1, i, -1, "balanced-cross"]
         if fu:
             return [2, 1, 0, 1, 0, -1, -1, pid, pid, -1, -1, -1, -1, -1, -1,
-                    -1, -1, 0, -1, -1, 0, u, v, xu, xv, u, v, "cover-right"]
+                    0, u, v, xu, xv, u, v, "cover-right"]
         x, i = (xu, u) if xu < xv else (xv, v)
         return [2, 0, 0, 0, 1, -1, -1, -1, -1, pid, pid, -1, -1, -1, -1,
-                -1, -1, 0, -1, -1, 0, -1, -1, -1, x, -1, i, "free-cross"]
+                0, -1, -1, -1, x, -1, i, "free-cross"]
 
     def _join_leaf(self, s: NodeSummary, v: int, leaf_left: bool) -> NodeSummary:
         """Join of an inner summary s with the leaf v (the left operand when
@@ -768,7 +738,7 @@ class SolveContext:
                     self._push_free(s, w)
                     self._add_pair(s, _SH, u, v)
                     case = "move-semi"
-                elif s[_FC] == 0 and s[_IRC] == 0 and s[_IFC] == 0:
+                elif s[_FC] == 0 and s[_IC] == 0:
                     self._append_pool(s, _UH, v)
                     case = "keep-full"
                 else:
@@ -781,8 +751,7 @@ class SolveContext:
                 s[_XF] = x
                 s[_XFI] = v
         s[_NV] += 1
-        s[_IRH] = s[_IRT] = s[_IFH] = s[_IFT] = -1
-        s[_IRC] = s[_IFC] = 0
+        s[_IC] = 0
         s[_CASE] = case
         return s
 
@@ -799,8 +768,7 @@ class SolveContext:
         l[_KC] += r[_KC]
         l[_SC] += r[_SC]
         l[_FC] += r[_FC]
-        l[_IRC] += r[_IRC]
-        l[_IFC] += r[_IFC]
+        l[_IC] += r[_IC]
 
         self._concat(l, r, self._union_links)
 
@@ -825,7 +793,7 @@ class SolveContext:
         least as many restricted vertices.  The right side's solution is
         always discarded; its vertices are re-paired across the cut or left
         in the pools.  The joint graph has no isolated vertices, so the
-        output isolated pools are empty.  Consumes both inputs.
+        output isolated count is zero.  Consumes both inputs.
         """
         l, r = left, right
         if l[_NR] < r[_NR]:
@@ -912,7 +880,7 @@ class SolveContext:
                     self._push_free(l, v)
                     self._add_pair(l, _SH, u, self._pop_pool(r, _UH))
                     case = "move-semi"
-                elif fl == 0 and l[_IRC] == 0 and l[_IFC] == 0:
+                elif fl == 0 and l[_IC] == 0:
                     # The kept full pairs already dominate their own side,
                     # and any matched left vertex dominates the whole right.
                     case = "keep-full"
@@ -1010,8 +978,7 @@ class SolveContext:
         # Common tail: absorb the remaining right pools, clear isolation,
         # install graph-level aggregates.
         self._concat(l, r, self._pool_links)
-        l[_IRH] = l[_IRT] = l[_IFH] = l[_IFT] = -1
-        l[_IRC] = l[_IFC] = 0
+        l[_IC] = 0
         l[_NV] += r[_NV]
         l[_NR] = rl + rr
         l[_WR], l[_WF] = wr, wf
@@ -1025,15 +992,16 @@ class SolveContext:
     # -- extraction and inspection ------------------------------------------
 
     def extract_solution(self, summ: NodeSummary) -> MPDSolution:
-        """Flatten a summary into a solution; fails on isolated vertices."""
-        if summ[_IRC] or summ[_IFC]:
-            isolated = sorted(
-                self._walk_iso(summ[_IRH]) + self._walk_iso(summ[_IFH])
-            )
+        """Flatten a summary into a solution.
+
+        Raises :class:`NoSolutionError` when the summary's graph has isolated
+        vertices.  The summary only counts them, so the error's ``isolated``
+        is empty here; :func:`solve` names them, reading them off the tree
+        before any fold.
+        """
+        if summ[_IC]:
             raise NoSolutionError(
-                "no solution: the graph has isolated vertices "
-                + " ".join(str(v) for v in isolated),
-                isolated=isolated,
+                f"no solution: the graph has {summ[_IC]} isolated vertices"
             )
         pu, pv, pn = self.pu, self.pv, self.pn
         lab = self.labels.__getitem__
@@ -1075,15 +1043,6 @@ class SolveContext:
 
     # The walkers report labels.
 
-    def _walk_iso(self, head: int) -> list[int]:
-        out = []
-        inx, lab = self.inx, self.labels
-        v = head
-        while v >= 0:
-            out.append(lab[v])
-            v = inx[v]
-        return out
-
     def _walk_pool(self, head: int) -> list[int]:
         # Claimed vertices were consumed out of turn; a vertex sits in at
         # most one pool position, so membership is simply claimed[v] == 0.
@@ -1119,8 +1078,7 @@ class SolveContext:
             free_pairs=tuple(self._walk_pairs(summ[_FH])),
             unmatched_restricted=tuple(self._walk_pool(summ[_RH])),
             unmatched_free=tuple(self._walk_pool(summ[_UH])),
-            isolated_restricted=tuple(self._walk_iso(summ[_IRH])),
-            isolated_free=tuple(self._walk_iso(summ[_IFH])),
+            isolated_count=summ[_IC],
             rf_witness=(
                 (self.labels[summ[_WR]], self.labels[summ[_WF]]) if summ[_WR] >= 0 else None
             ),
@@ -1141,10 +1099,8 @@ class SolveContext:
             raise AssertionError("restricted count identity violated")
         if view.vertex_count != 2 * (k + s + f) + ur + uf:
             raise AssertionError("vertex count identity violated")
-        if not set(view.isolated_restricted) <= set(view.unmatched_restricted):
-            raise AssertionError("isolated restricted not within unmatched")
-        if not set(view.isolated_free) <= set(view.unmatched_free):
-            raise AssertionError("isolated free not within unmatched")
+        if view.isolated_count > ur + uf:
+            raise AssertionError("more isolated vertices than unmatched ones")
         flags = self.restricted.flags
         for u, v in view.semi_pairs:
             if not (flags[u] and not flags[v]):
@@ -1229,7 +1185,33 @@ def solve(tree: Cotree, restricted: RestrictedSet | Iterable[int]) -> MPDSolutio
     pairs.  Deterministic: identical inputs give identical outputs.
 
     Raises :class:`NoSolutionError` when the graph has isolated vertices
-    (in particular for a single-leaf tree).
+    (in particular for a single-leaf tree); they are read off the tree
+    before any fold and listed, sorted, in the error's ``isolated``.
     """
     ctx = SolveContext(tree.leaf_count, restricted)
+    isolated = _isolated_labels(tree)
+    if isolated:
+        raise NoSolutionError(
+            "no solution: the graph has isolated vertices "
+            + " ".join(str(v) for v in isolated),
+            isolated=isolated,
+        )
     return ctx.extract_solution(ctx.run(tree))
+
+
+def _isolated_labels(tree: Cotree) -> list[int]:
+    """Sorted labels of the isolated vertices: the leaves with no join
+    ancestor, reached from the root through union nodes only."""
+    kind, a, b = tree.kind, tree.a, tree.b
+    out = []
+    stack = [tree.root]
+    while stack:
+        i = stack.pop()
+        k = kind[i]
+        if k == LEAF:
+            out.append(a[i])
+        elif k == UNION:
+            stack.append(a[i])
+            stack.append(b[i])
+    out.sort()
+    return out

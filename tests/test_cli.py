@@ -146,10 +146,21 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED
         assert "reason stats-mismatch" in out
 
-    def test_malformed_solution_file(self, k2_cotree, tmp_path):
-        sol = write(tmp_path, "sol.txt", "pair 0 1 full\n")
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("pair 0 1 full\n", "missing the beta/kfs headers"),
+            ("beta 0\nkfs 0 0 1\npair 0 1 bogus\n", "solution line 3: cannot parse"),
+            ("beta 0\nbeta 5\nkfs 0 0 1\npair 0 1 free\n", "solution line 2: repeated beta"),
+            ("beta 0\nkfs 0 0 1\nkfs 0 0 1\npair 0 1 free\n", "solution line 3: repeated kfs"),
+        ],
+        ids=["missing-header", "bad-class", "repeated-beta", "repeated-kfs"],
+    )
+    def test_malformed_solution_file(self, k2_cotree, tmp_path, capsys, text, error):
+        sol = write(tmp_path, "sol.txt", text)
         code = main(["verify", "--cotree", k2_cotree, "--solution", sol])
         assert code == EXIT_INPUT
+        assert error in capsys.readouterr().err
 
     def test_tree_above_the_edge_cap_verifies(self, tmp_path, capsys):
         # K_{8000,8000}: 64M edges; verify checks the tree without them.

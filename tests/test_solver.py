@@ -33,7 +33,7 @@ class TestLeafSummary:
         view = ctx.snapshot(ctx.leaf_summary(0))
         assert view.restricted_count == 1
         assert view.unmatched_restricted == (0,)
-        assert view.isolated_restricted == (0,)
+        assert view.isolated_count == 1
         assert view.vertex_count == 1
 
     def test_free_leaf(self):
@@ -41,7 +41,7 @@ class TestLeafSummary:
         view = ctx.snapshot(ctx.leaf_summary(0))
         assert view.restricted_count == 0
         assert view.unmatched_free == (0,)
-        assert view.isolated_free == (0,)
+        assert view.isolated_count == 1
 
     def test_counting_identity(self):
         ctx = SolveContext(2, [1])
@@ -63,7 +63,7 @@ class TestCombineUnion:
         pair = ctx.combine_joint(ctx.leaf_summary(0), ctx.leaf_summary(1))
         view = ctx.snapshot(ctx.combine_union(pair, ctx.leaf_summary(2)))
         assert view.f == 1
-        assert view.isolated_restricted == (2,)
+        assert view.isolated_count == 1
         assert view.unmatched_restricted == (2,)
 
     def test_two_free_leaves(self):
@@ -71,7 +71,7 @@ class TestCombineUnion:
         view = ctx.snapshot(ctx.combine_union(ctx.leaf_summary(0), ctx.leaf_summary(1)))
         assert view.k == view.s == view.f == 0
         assert view.unmatched_free == (0, 1)
-        assert view.isolated_free == (0, 1)
+        assert view.isolated_count == 2
 
 
 class TestCombineJoint:
@@ -128,7 +128,7 @@ class TestCombineJoint:
         left = ctx.combine_union(ctx.leaf_summary(0), ctx.leaf_summary(1))
         out = ctx.combine_joint(left, ctx.leaf_summary(2))
         view = ctx.snapshot(out)
-        assert view.isolated_restricted == () and view.isolated_free == ()
+        assert view.isolated_count == 0
 
 
 class TestSolve:
