@@ -28,7 +28,6 @@ from typing import NoReturn, Optional, Sequence
 
 from .cotree import (
     Cotree,
-    DEFAULT_EDGE_CAP,
     P4Witness,
     materialize,
     parse_cotree,
@@ -43,11 +42,17 @@ from .graphs import (
     MPDSolution,
     NoSolutionError,
     RestrictedSet,
+    format_restricted_text,
     parse_graph_text,
     parse_restricted_text,
     verify_solution,
 )
-from .oracle import OracleCapExceeded, oracle_canonical, oracle_paired_domination_number
+from .oracle import (
+    OracleCapExceeded,
+    _check_cap,
+    oracle_canonical,
+    oracle_paired_domination_number,
+)
 from .solver import solve
 
 EXIT_OK = 0
@@ -98,6 +103,21 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _write(path: Optional[str], text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when it is None."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _no_solution(exc: NoSolutionError) -> int:
+    """Print the ``no-solution isolated ...`` line; returns its exit code."""
+    print("no-solution isolated " + " ".join(str(v) for v in exc.isolated))
+    return EXIT_NO_SOLUTION
+
+
 def _parse_restricted_arg(spec: Optional[str], n: int) -> RestrictedSet:
     """Inline list (``0,3,5`` or ``"0, 3 5"``: only digits, commas and
     whitespace) or a file path; absent means empty."""
@@ -133,14 +153,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         solution = solve(tree, restricted)
     except NoSolutionError as exc:
-        print("no-solution isolated " + " ".join(str(v) for v in exc.isolated))
-        return EXIT_NO_SOLUTION
-    out = format_solution(solution)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+        return _no_solution(exc)
+    _write(args.output, format_solution(solution))
     return EXIT_OK
 
 
@@ -172,7 +186,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.cotree is not None:
-        graph = materialize(parse_cotree(_read(args.cotree)), edge_cap=args.edge_cap)
+        tree = parse_cotree(_read(args.cotree))
+        _check_cap(tree.leaf_count, args.max_n)  # before building any edge
+        graph = materialize(tree)
     else:
         graph = parse_graph_text(_read(args.graph))
     pruning = not args.reference_oracle
@@ -188,8 +204,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             graph, restricted, max_vertices=args.max_n, pruning=pruning
         )
     except NoSolutionError as exc:
-        print("no-solution isolated " + " ".join(str(v) for v in exc.isolated))
-        return EXIT_NO_SOLUTION
+        return _no_solution(exc)
     print(f"beta {result.beta} fmin {result.f_min}")
     sys.stdout.write(format_solution(result.witness))
     return EXIT_OK
@@ -199,19 +214,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     tree = random_cotree(args.n, args.join_bias, args.seed)
     # Independent stream for the restricted choice (documented offset).
     restricted = random_restricted(args.n, args.density or 0.0, args.seed + 1)
-    tree_text = serialize_cotree(tree) + "\n"
-    members = restricted.members()
-    restricted_text = (" ".join(str(v) for v in members) + "\n") if members else ""
-    if args.out_cotree:
-        with open(args.out_cotree, "w", encoding="utf-8") as fh:
-            fh.write(tree_text)
-    else:
-        sys.stdout.write(tree_text)
-    if args.out_restricted:
-        with open(args.out_restricted, "w", encoding="utf-8") as fh:
-            fh.write(restricted_text)
-    elif args.density is not None:
-        sys.stdout.write(restricted_text)
+    _write(args.out_cotree, serialize_cotree(tree) + "\n")
+    if args.out_restricted or args.density is not None:
+        _write(args.out_restricted, format_restricted_text(restricted))
     return EXIT_OK
 
 
@@ -252,12 +257,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         medians.append((n, statistics.median(times)))
     for (n1, t1), (n2, t2) in zip(medians, medians[1:]):
         rows.append(f"ratio,{n1}:{n2},{t2 / t1:.3f},,")
-    out = "\n".join(rows) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write(args.output, "\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -299,12 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive optimum for small instances")
     add_instance_args(p)
-    p.add_argument(
-        "--edge-cap",
-        type=int,
-        default=DEFAULT_EDGE_CAP,
-        help="materialization edge cap (guards dense joins)",
-    )
     p.add_argument("--restricted", help="file path or inline comma list (default: empty)")
     p.add_argument("--gamma-p", action="store_true", help="print the paired-domination number only")
     p.add_argument(

@@ -86,9 +86,11 @@ class Cotree:
     every subtree occupies a contiguous index range ending at its root, the
     left subtree's range first, so the root is the last node.  The builders
     in this module (:func:`parse_cotree`, :func:`random_cotree`,
-    :func:`recognize`) store arenas that way and set it; :meth:`postorder`
-    and the solver then walk the arena in index order instead of traversing
-    it.  Arenas built by hand in any other order leave it False.
+    :func:`recognize`) store arenas that way and set it.  Arenas built by
+    hand in any other order leave it False; ``_in_postorder`` is the one
+    place that renumbers them, and every walker (the solver's fold,
+    :func:`materialize`, :func:`verify_on_tree`) iterates its result in
+    index order.
     """
 
     __slots__ = ("kind", "a", "b", "root", "leaf_count", "postordered")
@@ -299,13 +301,13 @@ def materialize(tree: Cotree, edge_cap: int = DEFAULT_EDGE_CAP) -> Graph:
     first and checked against ``edge_cap`` so an accidental dense join fails
     fast instead of exhausting memory.
     """
+    tree = _in_postorder(tree)
     n = tree.leaf_count
     kind, a, b = tree.kind, tree.a, tree.b
-    order = tree.postorder()
 
     m = 0
     size = [0] * len(kind)
-    for i in order:
+    for i in range(len(kind)):
         if kind[i] == LEAF:
             size[i] = 1
         else:
@@ -322,7 +324,7 @@ def materialize(tree: Cotree, edge_cap: int = DEFAULT_EDGE_CAP) -> Graph:
     leaf_order: list[int] = []
     lo = [0] * len(kind)
     hi = [0] * len(kind)
-    for i in order:
+    for i in range(len(kind)):
         if kind[i] == LEAF:
             lo[i] = len(leaf_order)
             leaf_order.append(a[i])
@@ -332,7 +334,7 @@ def materialize(tree: Cotree, edge_cap: int = DEFAULT_EDGE_CAP) -> Graph:
             hi[i] = hi[b[i]]
 
     adj: list[list[int]] = [[] for _ in range(n)]
-    for i in order:
+    for i in range(len(kind)):
         if kind[i] == JOIN:
             left = leaf_order[lo[a[i]] : hi[a[i]]]
             right = leaf_order[lo[b[i]] : hi[b[i]]]
@@ -354,28 +356,27 @@ def verify_on_tree(
     Two leaves are adjacent exactly when their lowest common ancestor is a
     join node, and a vertex is dominated exactly when it is matched or some
     join ancestor has a matched vertex under the child that does not contain
-    it.  Both are decided in near-linear time over one postorder.
+    it.  Both are decided in near-linear time over the postordered arena.
     """
-    order = tree.postorder()
+    tree = _in_postorder(tree)
     return _verification_report(
         tree.leaf_count,
         restricted,
         pairs,
-        lambda candidates: _lca_is_join(tree, order, candidates),
-        lambda mark: _dominates(tree, order, mark),
+        lambda candidates: _lca_is_join(tree, candidates),
+        lambda mark: _dominates(tree, mark),
     )
 
 
-def _lca_is_join(
-    tree: Cotree, order: list[int], pairs: list[tuple[int, int]]
-) -> list[bool]:
+def _lca_is_join(tree: Cotree, pairs: list[tuple[int, int]]) -> list[bool]:
     """Whether each pair of distinct leaves has a join node as its LCA.
 
-    Tarjan's offline LCA with union-find over the postorder ``order``: a
-    finished node is linked to its parent when the parent finishes.  A pair
-    is answered at whichever of its leaves finishes second: the set root of
-    the earlier leaf is then its highest finished ancestor, whose parent --
-    unfinished, so also an ancestor of the current leaf -- is the LCA.
+    ``tree`` is postordered.  Tarjan's offline LCA with union-find over the
+    arena in index order: a finished node is linked to its parent when the
+    parent finishes.  A pair is answered at whichever of its leaves finishes
+    second: the set root of the earlier leaf is then its highest finished
+    ancestor, whose parent -- unfinished, so also an ancestor of the current
+    leaf -- is the LCA.
     """
     kind, a, b = tree.kind, tree.a, tree.b
     nodes = len(kind)
@@ -390,14 +391,17 @@ def _lca_is_join(
         after[entry + 1] = first[v]
         first[v] = entry + 1
         entry += 2
+    # Both walks take the node ids from ``link`` rather than allocating
+    # them again: a node is linked only when its parent finishes, so link[i]
+    # is still i when the walk reaches index i.
+    link = list(range(nodes))
     parent = [-1] * nodes
-    for i in order:
+    for i in link:
         if kind[i] != LEAF:
             parent[a[i]] = parent[b[i]] = i
-    link = list(range(nodes))
     leaf_node = [-1] * tree.leaf_count  # set once the leaf is finished
     answers = [False] * len(pairs)
-    for i in order:
+    for i in link:
         if kind[i] != LEAF:
             link[a[i]] = link[b[i]] = i
             continue
@@ -417,20 +421,21 @@ def _lca_is_join(
     return answers
 
 
-def _dominates(tree: Cotree, order: list[int], mark: bytearray) -> bool:
+def _dominates(tree: Cotree, mark: bytearray) -> bool:
     """Whether the leaves flagged in ``mark`` dominate the tree's graph.
 
-    Bottom-up, count the marked leaves under each node; then top-down, a
-    child sees a mark when its parent does or its parent is a join whose
-    other child holds one.  An unmarked leaf that sees no mark is
-    undominated.
+    ``tree`` is postordered.  Bottom-up, count the marked leaves under each
+    node; then top-down, a child sees a mark when its parent does or its
+    parent is a join whose other child holds one.  An unmarked leaf that
+    sees no mark is undominated.
     """
     kind, a, b = tree.kind, tree.a, tree.b
-    below = [0] * len(kind)
-    for i in order:
-        below[i] = mark[a[i]] if kind[i] == LEAF else below[a[i]] + below[b[i]]
+    below: list[int] = []
+    count = below.append
+    for k, x, y in zip(kind, a, b):
+        count(mark[x] if k == LEAF else below[x] + below[y])
     sees = bytearray(len(kind))
-    for i in reversed(order):
+    for i in range(len(kind) - 1, -1, -1):
         if kind[i] == LEAF:
             if not (mark[a[i]] or sees[i]):
                 return False
@@ -615,9 +620,13 @@ def recognize(graph: Graph) -> Union[Cotree, P4Witness]:
 
 
 def _in_postorder(tree: Cotree) -> Cotree:
-    """The same tree with its arena renumbered into left-first postorder."""
+    """The tree with its arena in left-first postorder: ``tree`` itself when
+    it is already stored that way, else a renumbered copy (the caller's
+    arena is left as it is).  The package's only renumbering."""
+    if tree.postordered:
+        return tree
     kind, a, b = tree.kind, tree.a, tree.b
-    order = tree.postorder()
+    order = tree._traverse()
     rank = [0] * len(order)
     for j, i in enumerate(order):
         rank[i] = j

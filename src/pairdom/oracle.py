@@ -55,10 +55,10 @@ class OracleResult:
     count_explored: int
 
 
-def _check_cap(graph: Graph, max_vertices: int) -> None:
-    if graph.n > max_vertices:
+def _check_cap(n: int, max_vertices: int) -> None:
+    if n > max_vertices:
         raise OracleCapExceeded(
-            f"graph has {graph.n} vertices, exhaustive cap is {max_vertices}"
+            f"graph has {n} vertices, exhaustive cap is {max_vertices}"
         )
 
 
@@ -84,7 +84,7 @@ def enumerate_dominating_matchings(
     over the edges in lexicographic order; those whose vertex set dominates
     the graph are yielded as ``(pairs, k, s, f, matched_number)``.
     """
-    _check_cap(graph, max_vertices)
+    _check_cap(graph.n, max_vertices)
     edges = graph.edges()
     m = len(edges)
     nbr = _closed_neighborhood_masks(graph)
@@ -135,7 +135,7 @@ def oracle_canonical(
     Raises :class:`NoSolutionError` when no dominating matching exists
     (exactly the graphs with isolated vertices, and the 1-vertex graph).
     """
-    _check_cap(graph, max_vertices)
+    _check_cap(graph.n, max_vertices)
 
     if not pruning:
         best: tuple[int, int] | None = None

@@ -28,7 +28,7 @@ from itertools import compress, repeat
 from operator import not_
 from typing import Iterable, Optional
 
-from .cotree import Cotree, LEAF, UNION
+from .cotree import Cotree, LEAF, UNION, _in_postorder
 from .graphs import (
     EdgeClass,
     MPDSolution,
@@ -295,61 +295,13 @@ class SolveContext:
         """Destroy cnt semi pairs; each restricted endpoint re-pairs with a
         right restricted pop (full), each free partner returns to the pool.
 
-        The new full pair takes over the slot of the semi pair it replaces.
+        The free list is LIFO, so the new full pair takes over the slot of
+        the semi pair it replaces.
         """
-        if cnt <= 0:
-            return
-        pu, pv, pn = self.pu, self.pv, self.pn
-        pof, nxt, claimed = self.pof, self.nxt, self.claimed
-        sh = l[_SH]
-        rh = r[_RH]
-        head, tail = l[_KH], l[_KT]
-        uh, ut = l[_UH], l[_UT]
         for _ in range(cnt):
-            spid = sh
-            if spid < 0:
-                raise SolverInternalError("semi-pair pop from an empty chain")
-            sh = pn[spid]
-            u = pu[spid]
-            w = pv[spid]
-            if claimed[w]:
-                claimed[w] -= 1
-            elif ut < 0:
-                uh = ut = w
-            else:
-                nxt[ut] = w
-                ut = w
-            v = rh
-            if v < 0:
-                raise SolverInternalError("restricted pop from an empty pool")
-            rh = nxt[v]
-            while claimed[v]:
-                claimed[v] -= 1
-                v = rh
-                if v < 0:
-                    raise SolverInternalError("restricted pop from an empty pool")
-                rh = nxt[v]
-            pv[spid] = v  # pu[spid] is already u
-            pn[spid] = -1
-            pof[u] = spid
-            pof[v] = spid
-            if tail < 0:
-                head = spid
-            else:
-                pn[tail] = spid
-            tail = spid
-        l[_SH] = sh
-        if sh < 0:
-            l[_ST] = -1
-        l[_SC] -= cnt
-        r[_RH] = rh
-        if rh < 0:
-            r[_RT] = -1
-        l[_KH], l[_KT] = head, tail
-        l[_KC] += cnt
-        if ut >= 0:
-            nxt[ut] = -1
-        l[_UH], l[_UT] = uh, ut
+            u, w = self._pop_pair(l, _SH)
+            self._push_free(l, w)
+            self._add_pair(l, _KH, u, self._pop_pool(r, _RH))
 
     def _split_fulls(self, l: NodeSummary, r: NodeSummary, cnt: int) -> None:
         """Destroy cnt full pairs; all endpoints re-pair with right
@@ -1003,7 +955,6 @@ class SolveContext:
             raise NoSolutionError(
                 f"no solution: the graph has {summ[_IC]} isolated vertices"
             )
-        pu, pv, pn = self.pu, self.pv, self.pn
         lab = self.labels.__getitem__
         pairs: list[PairedEdge] = []
         counts = []
@@ -1012,15 +963,7 @@ class SolveContext:
             (summ[_SH], EdgeClass.SEMI),
             (summ[_FH], EdgeClass.FREE),
         ):
-            us: list[int] = []
-            vs: list[int] = []
-            pid = head
-            while pid >= 0:
-                u = pu[pid]
-                if u >= 0:
-                    us.append(u)
-                    vs.append(pv[pid])
-                pid = pn[pid]
+            us, vs = self._pair_ends(head)
             # PairedEdge(u, v, cls) is tuple.__new__(PairedEdge, (u, v, cls));
             # mapping that directly builds the rows without a Python call each.
             rows = zip(map(lab, us), map(lab, vs), repeat(cls))
@@ -1041,6 +984,20 @@ class SolveContext:
             case_trace=summ[_CASE],
         )
 
+    def _pair_ends(self, head: int) -> tuple[list[int], list[int]]:
+        """Endpoint ids of the live pairs on the chain starting at head."""
+        us: list[int] = []
+        vs: list[int] = []
+        pu, pv, pn = self.pu, self.pv, self.pn
+        pid = head
+        while pid >= 0:
+            u = pu[pid]
+            if u >= 0:  # else dead
+                us.append(u)
+                vs.append(pv[pid])
+            pid = pn[pid]
+        return us, vs
+
     # The walkers report labels.
 
     def _walk_pool(self, head: int) -> list[int]:
@@ -1055,15 +1012,10 @@ class SolveContext:
             v = nxt[v]
         return out
 
-    def _walk_pairs(self, head: int) -> list[tuple[int, int]]:
-        out = []
-        pu, pv, pn, lab = self.pu, self.pv, self.pn, self.labels
-        pid = head
-        while pid >= 0:
-            if pu[pid] >= 0:
-                out.append((lab[pu[pid]], lab[pv[pid]]))
-            pid = pn[pid]
-        return out
+    def _walk_pairs(self, head: int) -> tuple[tuple[int, int], ...]:
+        lab = self.labels
+        us, vs = self._pair_ends(head)
+        return tuple((lab[u], lab[v]) for u, v in zip(us, vs))
 
     def snapshot(self, summ: NodeSummary) -> SummaryView:
         """Non-destructive readable view of a summary record."""
@@ -1073,9 +1025,9 @@ class SolveContext:
             k=summ[_KC],
             s=summ[_SC],
             f=summ[_FC],
-            full_pairs=tuple(self._walk_pairs(summ[_KH])),
-            semi_pairs=tuple(self._walk_pairs(summ[_SH])),
-            free_pairs=tuple(self._walk_pairs(summ[_FH])),
+            full_pairs=self._walk_pairs(summ[_KH]),
+            semi_pairs=self._walk_pairs(summ[_SH]),
+            free_pairs=self._walk_pairs(summ[_FH]),
             unmatched_restricted=tuple(self._walk_pool(summ[_RH])),
             unmatched_free=tuple(self._walk_pool(summ[_UH])),
             isolated_count=summ[_IC],
@@ -1110,8 +1062,8 @@ class SolveContext:
 
     def run(self, tree: Cotree) -> NodeSummary:
         """Left-first postorder fold over the whole tree; returns the root
-        summary.  A postordered arena is walked in index order; any other
-        layout is first permuted into that order."""
+        summary.  The fold walks the arena of ``_in_postorder(tree)`` in
+        index order, so any other layout is renumbered first, in a copy."""
         if tree.leaf_count != self.n:
             raise ValueError(
                 f"tree has {tree.leaf_count} leaves, context was built for {self.n}"
@@ -1120,15 +1072,10 @@ class SolveContext:
         # vertices form a contiguous id range and the per-vertex arrays, like
         # the id objects themselves (created together up front), are touched
         # with locality.  Labels only matter for tie-breaks and the output.
-        kind, aa = tree.kind, tree.a
-        if tree.postordered:
-            labels = list(compress(aa, map(not_, kind)))
-        else:
-            order = tree.postorder()
-            labels = [aa[i] for i in order if kind[i] == LEAF]
-            kind = [kind[i] for i in order]
-            del order
-        self.labels = labels
+        tree = _in_postorder(tree)
+        kind = tree.kind
+        self.labels = list(compress(tree.a, map(not_, kind)))
+        del tree  # a renumbered copy's child arrays are not needed below
         next_id = iter(list(range(self.n))).__next__
         # Leaves ride the value stack as bare vertex ids; a combine whose
         # operand is an int routes through the specialized tiny builders

@@ -102,7 +102,8 @@ class TestUsage:
         [[], ["solve"], ["frobnicate"], ["solve", "--cotree", "t.ct", "--bogus"],
          ["solve", "--cotree", "t.ct", "--edge-cap", "5"], ["gen", "-n", "ten"],
          ["verify", "--cotree", "t.ct", "--solution", "s.txt", "--edge-cap", "5"],
-         ["recognize", "--graph", "p3.g", "--edge-cap", "0"]],
+         ["recognize", "--graph", "p3.g", "--edge-cap", "0"],
+         ["oracle", "--cotree", "t.ct", "--edge-cap", "5"]],
     )
     def test_usage_error_exits_1(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -236,6 +237,18 @@ class TestOracle:
         g = write(tmp_path, "big.g", format_graph_text(path_graph(20)))
         code = main(["oracle", "--graph", g])
         assert code == EXIT_INPUT
+
+    def test_tree_above_the_cap_is_rejected_before_materializing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("materialize called")
+
+        monkeypatch.setattr("pairdom.cli.materialize", fail)
+        ct = write(tmp_path, "t.ct", f"(* {' '.join(map(str, range(17)))})\n")
+        code = main(["oracle", "--cotree", ct])
+        assert code == EXIT_INPUT
+        assert "graph has 17 vertices, exhaustive cap is 16" in capsys.readouterr().err
 
 
 class TestGen:

@@ -1,7 +1,8 @@
 """Arena layout: builders store left-first postorder; other layouts still solve.
 
-The solver walks a postordered arena in index order and permutes any other
-layout into that order first, so both must give the same solution text.
+``_in_postorder`` returns a postordered arena as it is and renumbers any
+other layout into a postordered copy; the solver walks its result in index
+order, so both layouts must give the same solution text.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from pairdom import (
     Cotree,
     NoSolutionError,
+    SolveContext,
     materialize,
     parse_cotree,
     random_cotree,
@@ -23,7 +25,7 @@ from pairdom import (
     solve,
 )
 from pairdom.cli import format_solution
-from pairdom.cotree import JOIN, LEAF, UNION
+from pairdom.cotree import JOIN, LEAF, UNION, _in_postorder
 
 
 def left_first_postorder(tree: Cotree) -> list[int]:
@@ -45,6 +47,7 @@ def assert_postordered(tree: Cotree) -> None:
     assert left_first_postorder(tree) == list(range(len(tree.kind)))
     assert tree.root == len(tree.kind) - 1
     tree.validate()
+    assert _in_postorder(tree) is tree
 
 
 def relaid(tree: Cotree, order: list[int]) -> Cotree:
@@ -137,7 +140,13 @@ class TestOtherLayoutsSolveTheSame:
             other = relaid(tree, layout(tree))
             other.validate()
             assert not other.postordered
+            arena = (other.kind[:], other.a[:], other.b[:])
+            copy = _in_postorder(other)
+            assert_postordered(copy)
+            assert serialize_cotree(copy) == serialize_cotree(tree)
+            assert materialize(copy).adj == materialize(tree).adj
             assert solution_text(other, restricted) == solution_text(tree, restricted)
+            assert (other.kind, other.a, other.b) == arena
 
     def test_level_order_perfect_join_tree(self):
         n = 256
@@ -164,3 +173,13 @@ class TestOtherLayoutsSolveTheSame:
         restricted = random_restricted(40, 0.25, 56)
         other = relaid(tree, preorder(tree))
         assert solution_text(other, restricted) == solution_text(tree, restricted)
+
+    def test_run_leaves_the_callers_arena_unchanged(self):
+        # (* 0 (+ 1 2)), stored root first.
+        tree = Cotree([JOIN, LEAF, UNION, LEAF, LEAF], [1, 0, 3, 1, 2], [2, -1, 4, -1, -1], 0, 3)
+        arena = (tree.kind[:], tree.a[:], tree.b[:])
+        ctx = SolveContext(3, [1])
+        solution = ctx.extract_solution(ctx.run(tree))
+        assert (tree.kind, tree.a, tree.b, tree.root) == (*arena, 0)
+        assert not tree.postordered
+        assert format_solution(solution) == solution_text(parse_cotree("(* 0 (+ 1 2))"), [1])
