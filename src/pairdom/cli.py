@@ -18,7 +18,6 @@ pair with ``u < v``, sorted ascending.  Bench output is CSV rows
 from __future__ import annotations
 
 import argparse
-import gc
 import re
 import statistics
 import sys
@@ -63,9 +62,20 @@ EXIT_VERIFY_FAILED = 4
 
 
 def format_solution(solution: MPDSolution) -> str:
+    """The solution text.  Rows are keyed by their smaller endpoint, which
+    no two pairs of a solution share (its pairs are vertex-disjoint), so
+    the keys sort alone and no per-row tuple is built.  Raises
+    ``ValueError`` when two pairs do share it."""
     lines = [f"beta {solution.matched_number}", f"kfs {solution.k} {solution.s} {solution.f}"]
-    rows = sorted((min(p.u, p.v), max(p.u, p.v), p.cls.value) for p in solution.pairs)
-    lines.extend(f"pair {u} {v} {cls}" for u, v, cls in rows)
+    rows = {}
+    for u, v, cls in solution.pairs:
+        if u > v:
+            u, v = v, u
+        # ``_value_`` is the plain attribute behind the ``value`` property.
+        rows[u] = f"pair {u} {v} {cls._value_}"
+    if len(rows) != len(solution.pairs):
+        raise ValueError("two pairs share their smaller endpoint")
+    lines.extend(map(rows.__getitem__, sorted(rows)))
     return "\n".join(lines) + "\n"
 
 
@@ -240,15 +250,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         times = []
         last = None
         for _ in range(args.repeats):
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                t0 = time.perf_counter_ns()
-                solution = solve(tree, restricted)
-                elapsed = time.perf_counter_ns() - t0
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
+            t0 = time.perf_counter_ns()
+            solution = solve(tree, restricted)
+            elapsed = time.perf_counter_ns() - t0
             times.append(elapsed)
             last = solution
             rows.append(

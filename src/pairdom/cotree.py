@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import random
 import re
-from typing import NamedTuple, Sequence, Union
+from itertools import islice
+from operator import length_hint
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .graphs import (
     Graph,
@@ -163,7 +165,7 @@ class Cotree:
 
 
 # ---------------------------------------------------------------------------
-# Text format:  T ::= <int> | "(" ("+"|"*") T T+ ")"
+# Text format:  T ::= [0-9]+ | "(" ("+"|"*") T T+ ")"
 #
 # Whitespace-insensitive between tokens; n-ary nodes are allowed in text and
 # are binarized by a left fold, so "(+ 0 1 2)" parses as "(+ (+ 0 1) 2)".
@@ -171,101 +173,140 @@ class Cotree:
 # ---------------------------------------------------------------------------
 
 
+# A label, an opening parenthesis with its operator, or any other single
+# non-space character; of those, only ')' is valid.
+_TOKEN = re.compile(r"[0-9]+|\(\s*[+*]|\S")
+_SPACE = re.compile(r"\s*")
+_CHUNK = 1 << 16
+
+
 def parse_cotree(text: str) -> Cotree:
     """Parse the s-expression cotree format.
 
-    Leaf labels must be exactly ``0..n-1`` with no repeats, where ``n`` is
-    the number of leaves.  Errors report a character position.
+    Leaf labels are runs of ASCII digits and must be exactly ``0..n-1``
+    with no repeats, where ``n`` is the number of leaves.  Errors report a
+    character position.
     """
     kind: list[int] = []
     arena_a: list[int] = []
     arena_b: list[int] = []
-
-    def new_node(k: int, a: int, b: int) -> int:
-        kind.append(k)
-        arena_a.append(a)
-        arena_b.append(b)
-        return len(kind) - 1
-
-    # Each open frame: [op, position, left operand so far, operand count].
+    add_kind, add_a, add_b = kind.append, arena_a.append, arena_b.append
+    # The open frame is (op, left operand so far, operand count), held in
+    # locals; enclosing frames wait on ``stack``.  The top level is the frame
+    # whose op is None, and the parse ends once it holds one operand.
     # Children are folded in as they complete, so "(+ A B C)" stores A, B,
     # (A+B), C, ((A+B)+C): the arena comes out in left-first postorder.
-    frames: list[list[int]] = []
-    completed_root = -1
-    leaf_labels: list[int] = []
-
-    i = 0
+    stack: list[tuple[Optional[int], int, int]] = []
+    push, pop = stack.append, stack.pop
+    op: Optional[int] = None
+    left = -1
+    count = 0
+    nodes = 0
+    findall = _TOKEN.findall
     length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if completed_root >= 0:
-            raise CotreeParseError("trailing input after complete tree", i)
-        if ch == "(":
-            j = i + 1
-            while j < length and text[j].isspace():
-                j += 1
-            if j >= length or text[j] not in "+*":
-                raise CotreeParseError("expected '+' or '*' after '('", j if j < length else i)
-            frames.append([UNION if text[j] == "+" else JOIN, i, -1, 0])
-            i = j + 1
-            continue
-        if ch == ")":
-            if not frames:
-                raise CotreeParseError("unmatched ')'", i)
-            frame = frames.pop()
-            if frame[3] < 2:
-                raise CotreeParseError("internal node needs at least two subtrees", i)
-            node = frame[2]
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < length and text[j].isdigit():
-                j += 1
-            label = int(text[i:j])
-            leaf_labels.append(label)
-            node = new_node(LEAF, label, -1)
-            i = j
-        else:
-            raise CotreeParseError(f"unexpected character {ch!r}", i)
-        if frames:
-            frame = frames[-1]
-            if frame[3]:
-                frame[2] = new_node(frame[0], frame[2], node)
+    end = 0
+    while op is not None or not count:
+        if end == length:
+            if op is None:
+                raise CotreeParseError("empty input", 0)
+            raise CotreeParseError("unclosed '('", _innermost_open(text))
+        # A chunk ends just after a ')', so no token spans two chunks, and
+        # only one chunk's token strings are alive at a time.
+        pos = end
+        end = text.find(")", pos + _CHUNK) + 1 or length
+        tokens = findall(text, pos, end)
+        it = iter(tokens)
+        for tok in it:
+            if tok == ")":
+                if count < 2:
+                    raise CotreeParseError(
+                        "unmatched ')'" if op is None
+                        else "internal node needs at least two subtrees",
+                        _token_offset(text, pos, end, len(tokens) - length_hint(it) - 1),
+                    )
+                node = left
+                op, left, count = pop()
+            elif "0" <= tok < ":":  # a label (':' follows '9')
+                node = nodes
+                nodes += 1
+                add_kind(LEAF)
+                add_a(int(tok))
+                add_b(-1)
+            elif len(tok) > 1:
+                push((op, left, count))
+                op = UNION if tok[-1] == "+" else JOIN
+                count = 0
+                continue
             else:
-                frame[2] = node
-            frame[3] += 1
-        else:
-            completed_root = node
+                at = _token_offset(text, pos, end, len(tokens) - length_hint(it) - 1)
+                if tok != "(":
+                    raise CotreeParseError(f"unexpected character {tok!r}", at)
+                j = _SPACE.match(text, at + 1).end()
+                raise CotreeParseError(
+                    "expected '+' or '*' after '('", j if j < length else at
+                )
+            if count:
+                add_kind(op)  # type: ignore[arg-type]
+                add_a(left)
+                add_b(node)
+                left = nodes
+                nodes += 1
+                count += 1
+            else:
+                left = node
+                count = 1
+                if op is None:
+                    break
+    # The first token after the tree, if any: in this chunk or past it.
+    rest = length_hint(it)
+    trailing = _TOKEN.search(
+        text, _token_offset(text, pos, end, len(tokens) - rest) if rest else end
+    )
+    if trailing:
+        raise CotreeParseError("trailing input after complete tree", trailing.start())
 
-    if frames:
-        raise CotreeParseError("unclosed '('", frames[-1][1])
-    if completed_root < 0:
-        raise CotreeParseError("empty input", 0)
-
-    n = len(leaf_labels)
+    n = (nodes + 1) >> 1
     seen = bytearray(n)
-    for label in leaf_labels:
-        if label >= n or seen[label]:
-            raise CotreeParseError(
-                f"leaf labels must be exactly 0..{n - 1} with no repeats; "
-                f"offending label {label}",
-                _offending_leaf_offset(text, n),
-            )
-        seen[label] = 1
-    return Cotree(kind, arena_a, arena_b, completed_root, n, postordered=True)
+    for k, label in zip(kind, arena_a):
+        if k == LEAF:
+            if label >= n or seen[label]:
+                raise CotreeParseError(
+                    f"leaf labels must be exactly 0..{n - 1} with no repeats; "
+                    f"offending label {label}",
+                    _offending_leaf_offset(text, n),
+                )
+            seen[label] = 1
+    return Cotree(kind, arena_a, arena_b, left, n, postordered=True)
+
+
+# The error paths below rescan the text, so the parse itself records no
+# character positions.
+
+
+def _token_offset(text: str, pos: int, end: int, index: int) -> int:
+    """Offset of the ``index``-th token of ``text[pos:end]``."""
+    return next(islice(_TOKEN.finditer(text, pos, end), index, None)).start()
+
+
+def _innermost_open(text: str) -> int:
+    """Offset of the innermost '(' left open at the end of ``text``, whose
+    tokens are otherwise well formed."""
+    opens = []
+    for match in _TOKEN.finditer(text):
+        if match.group() == ")":
+            opens.pop()
+        elif match.group()[0] == "(":
+            opens.append(match.start())
+    return opens[-1]
 
 
 def _offending_leaf_offset(text: str, n: int) -> int:
     """Offset of the first leaf whose label is out of range or a repeat.
 
-    Only the error path calls this: it rescans the text (every digit run in
-    parsed text is a leaf), so the parse itself records no leaf positions.
+    Every digit run in parsed text is a leaf.
     """
     seen = bytearray(n)
-    for match in re.finditer(r"\d+", text):
+    for match in re.finditer(r"[0-9]+", text):
         label = int(match.group())
         if label >= n or seen[label]:
             return match.start()

@@ -22,6 +22,7 @@ against.  Checkers report; they do not raise on invalid solutions.
 from __future__ import annotations
 
 import enum
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -630,14 +631,31 @@ def format_graph_text(graph: Graph) -> str:
 
 
 def parse_restricted_text(text: str, n: int) -> RestrictedSet:
-    """Whitespace-separated vertex ids; an empty file is the empty set."""
-    ids = []
-    for tok in text.split():
-        try:
-            ids.append(int(tok))
-        except ValueError:
-            raise GraphError(f"restricted set: non-integer token {tok!r}") from None
+    """Whitespace-separated vertex ids, each a run of ASCII digits with an
+    optional leading '-'; an empty file is the empty set."""
+    tokens = text.split()
+    # Over the characters 0-9 and '-', int() accepts exactly those runs.
+    try:
+        ids = list(map(int, tokens)) if _ID_TEXT.fullmatch(text) else None
+    except ValueError:  # beyond int()'s digit limit
+        ids = None
+    if ids is None:
+        bad = next(tok for tok in tokens if not _is_vertex_id(tok))
+        raise GraphError(f"restricted set: non-integer token {bad!r}")
     return RestrictedSet(n, ids)
+
+
+_ID_TEXT = re.compile(r"[0-9\s-]*")
+
+
+def _is_vertex_id(tok: str) -> bool:
+    if not re.fullmatch(r"-?[0-9]+", tok):
+        return False
+    try:
+        int(tok)
+    except ValueError:
+        return False
+    return True
 
 
 def format_restricted_text(restricted: RestrictedSet) -> str:

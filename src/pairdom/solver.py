@@ -23,6 +23,7 @@ records (plain lists) owned by their :class:`SolveContext`; inspect them with
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import not_
@@ -1143,7 +1144,19 @@ def solve(tree: Cotree, restricted: RestrictedSet | Iterable[int]) -> MPDSolutio
             + " ".join(str(v) for v in isolated),
             isolated=isolated,
         )
-    return ctx.extract_solution(ctx.run(tree))
+    # Summaries and rows are acyclic, so nothing waits on the cyclic
+    # collector; pausing it spares the fold and extraction its passes over
+    # their many young objects.  The exit path only ever re-enables: when
+    # solves overlap in threads, the one that found the collector on turns
+    # it back on and the others leave it alone, so no lock or counter is
+    # needed.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return ctx.extract_solution(ctx.run(tree))
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _isolated_labels(tree: Cotree) -> list[int]:

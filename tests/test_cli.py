@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from pairdom import (
+    EdgeClass,
+    MPDSolution,
+    PairedEdge,
     format_graph_text,
     materialize,
     parse_cotree,
@@ -19,6 +22,7 @@ from pairdom.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     _parse_restricted_arg,
+    format_solution,
     main,
 )
 from pairdom.cotree import DEFAULT_EDGE_CAP, JOIN
@@ -62,6 +66,19 @@ class TestSolve:
         code = main(["solve", "--cotree", ct])
         assert code == EXIT_INPUT
 
+    def test_non_ascii_digit_label_names_its_position(self, tmp_path, capsys):
+        ct = write(tmp_path, "bad.ct", "(* 0 \u00b2)")
+        code = main(["solve", "--cotree", ct])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: unexpected character '\u00b2' (at position 5)\n"
+
+    def test_non_id_restricted_token(self, k2_cotree, tmp_path, capsys):
+        rs = write(tmp_path, "r.rs", "1_0\n")
+        code = main(["solve", "--cotree", k2_cotree, "--restricted", rs])
+        assert code == EXIT_INPUT
+        assert "non-integer token '1_0'" in capsys.readouterr().err
+
     def test_output_file(self, k2_cotree, tmp_path):
         out_path = tmp_path / "sol.txt"
         code = main(["solve", "--cotree", k2_cotree, "--output", str(out_path)])
@@ -94,6 +111,27 @@ class TestSolve:
         code = main(["solve", "--cotree", k2_cotree, "--restricted", spec])
         assert code == EXIT_OK
         assert capsys.readouterr().out == "beta 2\nkfs 1 0 0\npair 0 1 full\n"
+
+
+class TestFormatSolution:
+    def test_rows_ascend_by_smaller_endpoint(self):
+        solution = MPDSolution(
+            (
+                PairedEdge(9, 2, EdgeClass.SEMI),
+                PairedEdge(0, 11, EdgeClass.FREE),
+                PairedEdge(4, 3, EdgeClass.FULL),
+            ),
+            k=1, s=1, f=1, matched_number=3,
+        )
+        assert format_solution(solution) == (
+            "beta 3\nkfs 1 1 1\n"
+            "pair 0 11 free\npair 2 9 semi\npair 3 4 full\n"
+        )
+
+    def test_shared_smaller_endpoint_is_rejected(self):
+        pairs = (PairedEdge(1, 2, EdgeClass.FULL), PairedEdge(3, 1, EdgeClass.FULL))
+        with pytest.raises(ValueError, match="smaller endpoint"):
+            format_solution(MPDSolution(pairs, k=2, s=0, f=0, matched_number=4))
 
 
 class TestUsage:

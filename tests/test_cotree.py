@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +21,7 @@ from pairdom import (
     recognize,
     serialize_cotree,
 )
-from pairdom.cotree import JOIN, LEAF, UNION
+from pairdom.cotree import _CHUNK, JOIN, LEAF, UNION
 from conftest import cube_graph, cycle_graph, path_graph, petersen_graph
 
 
@@ -73,6 +76,147 @@ class TestParse:
     def test_whitespace_insensitive(self):
         t = parse_cotree("  (*\n  (+ 0   2)\t1 )\n")
         assert t.leaf_count == 3
+
+    @pytest.mark.parametrize(
+        "text, position, char",
+        [("(* 0 \u00b2)", 5, "\u00b2"), ("(* \u0660 \u0661)", 3, "\u0660")],
+        ids=["superscript-two", "arabic-indic-digits"],
+    )
+    def test_non_ascii_digit_is_an_unexpected_character(self, text, position, char):
+        with pytest.raises(CotreeParseError) as err:
+            parse_cotree(text)
+        assert str(err.value) == f"unexpected character {char!r} (at position {position})"
+        assert err.value.position == position
+
+
+# (text, message, position) for malformed input, recorded from the
+# character-loop parser before the token loop replaced it; a message of
+# None marks text that parses.
+FROZEN_ERRORS = [
+    ("(* 0 1) 2", "trailing input after complete tree", 8),
+    ("(* 0 1))", "trailing input after complete tree", 7),
+    ("(* 0 1)(", "trailing input after complete tree", 7),
+    ("0 1", "trailing input after complete tree", 2),
+    ("(* 0 1)  (* 2 3)", "trailing input after complete tree", 9),
+    ("0)", "trailing input after complete tree", 1),
+    ("(* 0 1) #", "trailing input after complete tree", 8),
+    ("(0 1)", "expected '+' or '*' after '('", 1),
+    ("(* 0 (1 2))", "expected '+' or '*' after '('", 6),
+    ("(", "expected '+' or '*' after '('", 0),
+    ("(* 0 1 (", "expected '+' or '*' after '('", 7),
+    ("(   ", "expected '+' or '*' after '('", 0),
+    ("(* 0 (  ", "expected '+' or '*' after '('", 5),
+    ("(- 0 1)", "expected '+' or '*' after '('", 1),
+    ("(+ 0)", "internal node needs at least two subtrees", 4),
+    ("(* )", "internal node needs at least two subtrees", 3),
+    ("(* (+ 0) 1)", "internal node needs at least two subtrees", 7),
+    ("(+)", "internal node needs at least two subtrees", 2),
+    (")", "unmatched ')'", 0),
+    ("  )", "unmatched ')'", 2),
+    (")0", "unmatched ')'", 0),
+    ("(* 0 1", "unclosed '('", 0),
+    ("(* 0 (+ 1 2)", "unclosed '('", 0),
+    ("(+ (* 0 1) (* 2 3", "unclosed '('", 11),
+    ("(*", "unclosed '('", 0),
+    ("(+ 0 1 (* 2", "unclosed '('", 7),
+    ("", "empty input", 0),
+    ("   \n\t ", "empty input", 0),
+    ("(* 0 0)", "leaf labels must be exactly 0..1 with no repeats; offending label 0", 5),
+    ("(* 0 2)", "leaf labels must be exactly 0..1 with no repeats; offending label 2", 5),
+    ("(+ 0 (* 1 1))", "leaf labels must be exactly 0..2 with no repeats; offending label 1", 10),
+    ("(+ 0\n (* 5 1))", "leaf labels must be exactly 0..2 with no repeats; offending label 5", 9),
+    ("1", "leaf labels must be exactly 0..0 with no repeats; offending label 1", 0),
+    ("(+ 0 1 2 7)", "leaf labels must be exactly 0..3 with no repeats; offending label 7", 9),
+    ("(* 00 1)", None, None),
+    ("(* 0 01)", None, None),
+    ("(* 0 x)", "unexpected character 'x'", 5),
+    ("(* 0 1.5)", "unexpected character '.'", 6),
+    ("(* 0 -1)", "unexpected character '-'", 5),
+    ("a", "unexpected character 'a'", 0),
+    ("(* 0 +)", "unexpected character '+'", 5),
+]
+
+
+@pytest.mark.parametrize("text, message, position", FROZEN_ERRORS)
+def test_frozen_parse_errors(text, message, position):
+    if message is None:
+        assert parse_cotree(text).leaf_count == 2
+        return
+    with pytest.raises(CotreeParseError) as err:
+        parse_cotree(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def arena(tree):
+    return tree.kind, tree.a, tree.b, tree.root, tree.leaf_count
+
+
+def nary_text(tree, rng):
+    """Text for ``tree`` with runs of same-op left children written as one
+    n-ary node, and random whitespace wherever the grammar allows it."""
+    kind, a, b = tree.kind, tree.a, tree.b
+
+    def gap():
+        return rng.choice(["", " ", "  ", "\n", " \t "])
+
+    parts = []
+    stack = [tree.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif kind[item] == LEAF:
+            parts.append(str(a[item]))
+        else:
+            operands = [b[item]]
+            node = a[item]
+            while kind[node] == kind[item] and rng.random() < 0.7:
+                operands.append(b[node])
+                node = a[node]
+            operands.append(node)
+            op = "+" if kind[item] == UNION else "*"
+            stack.append(gap() + ")")
+            for x in operands[:-1]:
+                stack.extend([x, " " + gap()])
+            stack.extend([operands[-1], "(" + gap() + op + " " + gap()])
+    return "".join(parts)
+
+
+class TestChunkedParse:
+    """Texts longer than one tokenizer chunk (``_CHUNK`` characters)."""
+
+    @pytest.mark.parametrize("straddler", [r"[0-9]{2,}", r"\(\s+\*"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_nary_text_matches_binary_form(self, straddler, seed):
+        rng = random.Random(seed)
+        tree = random_cotree(30_000, 0.5, seed)
+        text = nary_text(tree, rng)
+        # Pad the front so that a multi-character token starts one character
+        # before the chunk mark and so straddles it.
+        match = next(m for m in re.finditer(straddler, text) if m.start() >= 1000)
+        text = " " * (_CHUNK - 1 - match.start()) + text
+        assert re.match(straddler, text[_CHUNK - 1 :])
+        assert len(text) > 2 * _CHUNK
+        assert arena(parse_cotree(text)) == arena(parse_cotree(serialize_cotree(tree)))
+
+    def test_round_trip_at_2_18_leaves(self):
+        tree = random_cotree(1 << 18, 0.5, 0)
+        assert arena(parse_cotree(serialize_cotree(tree))) == arena(tree)
+
+    def test_errors_past_the_first_chunk(self):
+        text = serialize_cotree(random_cotree(20_000, 0.5, 3))
+        assert len(text) > 2 * _CHUNK
+        cases = [
+            (text + " 0", "trailing input after complete tree", len(text) + 1),
+            (text[:-1], "unclosed '('", 0),
+            (f"(+ {text} (* 20000 20001", "unclosed '('", len(text) + 4),
+            (text[:-1] + "x)", "unexpected character 'x'", len(text) - 1),
+        ]
+        for bad, message, position in cases:
+            with pytest.raises(CotreeParseError) as err:
+                parse_cotree(bad)
+            assert str(err.value) == f"{message} (at position {position})"
 
 
 class TestSerialize:

@@ -210,6 +210,24 @@ class TestTextFormats:
     def test_empty_restricted_file(self):
         assert parse_restricted_text("", 5).members() == []
 
+    @pytest.mark.parametrize(
+        "token",
+        ["1_0", "+3", "\u0663", "1-2", "-", "--1", "3x", "1" * 5000],
+        ids=["underscore", "plus-sign", "arabic-indic-digit", "inner-minus", "bare-minus",
+             "double-minus", "suffix", "beyond-int-digit-limit"],
+    )
+    def test_restricted_non_id_token(self, token):
+        with pytest.raises(GraphError) as err:
+            parse_restricted_text(f"0 {token}\n4", 12)
+        assert str(err.value) == f"restricted set: non-integer token {token!r}"
+
+    def test_restricted_negative_id_is_out_of_range(self):
+        with pytest.raises(GraphError, match="restricted vertex -1 out of range"):
+            parse_restricted_text("2 -1", 12)
+
+    def test_restricted_leading_zeros_and_any_whitespace(self):
+        assert parse_restricted_text(" 007\t3\n\n10 ", 12).members() == [3, 7, 10]
+
 
 def brute_force_matchings(g):
     """Independent reference: all matchings via subset enumeration."""

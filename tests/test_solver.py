@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from pairdom import (
     NoSolutionError,
     RestrictedSet,
     SolveContext,
+    SolverInternalError,
     check_maximum_properties,
     materialize,
     oracle_canonical,
@@ -313,6 +316,82 @@ class TestGoldenRegression:
         with pytest.raises(NoSolutionError) as err:
             solve(tree, restricted)
         assert err.value.isolated == (8, 13)
+
+
+@pytest.fixture
+def gc_restored():
+    """Put the collector back as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorState:
+    """``solve`` pauses cyclic GC for the fold and extraction only."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_solve_leaves_the_collector_as_found(self, gc_restored, enabled):
+        (gc.enable if enabled else gc.disable)()
+        solve(random_cotree(200, 0.5, 1), random_restricted(200, 0.5, 2))
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_state_is_restored_when_extraction_raises(self, gc_restored, monkeypatch, enabled):
+        def broken(self, summ):
+            assert not gc.isenabled()
+            raise SolverInternalError("broken extraction")
+
+        monkeypatch.setattr(SolveContext, "extract_solution", broken)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(SolverInternalError):
+            solve(random_cotree(200, 0.5, 1), random_restricted(200, 0.5, 2))
+        assert gc.isenabled() is enabled
+
+    def test_overlapping_solves_in_threads_leave_the_collector_on(
+        self, gc_restored, monkeypatch
+    ):
+        # The first solve pauses the collector and waits inside its fold
+        # until the second has started (so it finds the collector off); the
+        # second waits until the first has returned, so it finishes last.
+        first_inside = threading.Event()
+        second_inside = threading.Event()
+        first_done = threading.Event()
+        run = SolveContext.run
+
+        def ordered_run(self, tree):
+            if threading.current_thread() is threads[0]:
+                first_inside.set()
+                assert second_inside.wait(timeout=30)
+            else:
+                second_inside.set()
+                assert first_done.wait(timeout=30)
+            return run(self, tree)
+
+        monkeypatch.setattr(SolveContext, "run", ordered_run)
+        tree = random_cotree(300, 0.5, 3)
+        restricted = random_restricted(300, 0.5, 4)
+        results = []
+
+        def first():
+            results.append(solve(tree, restricted))
+            first_done.set()
+
+        threads = [
+            threading.Thread(target=first),
+            threading.Thread(target=lambda: results.append(solve(tree, restricted))),
+        ]
+        gc.enable()
+        threads[0].start()
+        assert first_inside.wait(timeout=30)
+        threads[1].start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(results) == 2 and results[0] == results[1]
+        assert gc.isenabled()
 
 
 class TestBalancedRootContract:
