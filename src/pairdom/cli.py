@@ -41,6 +41,7 @@ from .graphs import (
     MPDSolution,
     NoSolutionError,
     RestrictedSet,
+    _int_token,
     format_restricted_text,
     parse_graph_text,
     parse_restricted_text,
@@ -92,11 +93,11 @@ def parse_solution_text(text: str) -> tuple[int, tuple[int, int, int], list[tupl
         head = fields[0]
         try:
             if head == "beta" and len(fields) == 2 and beta is None:
-                beta = int(fields[1])
+                beta = _int_token(fields[1])
             elif head == "kfs" and len(fields) == 4 and kfs is None:
-                kfs = (int(fields[1]), int(fields[2]), int(fields[3]))
+                kfs = (_int_token(fields[1]), _int_token(fields[2]), _int_token(fields[3]))
             elif head == "pair" and len(fields) == 4 and fields[3] in ("full", "semi", "free"):
-                pairs.append((int(fields[1]), int(fields[2])))
+                pairs.append((_int_token(fields[1]), _int_token(fields[2])))
             else:
                 raise ValueError
         except ValueError:
@@ -134,7 +135,7 @@ def _parse_restricted_arg(spec: Optional[str], n: int) -> RestrictedSet:
     if spec is None:
         return RestrictedSet.empty(n)
     if re.fullmatch(r"[0-9,\s]*", spec):
-        return RestrictedSet(n, [int(tok) for tok in spec.replace(",", " ").split()])
+        return parse_restricted_text(spec.replace(",", " "), n)
     return parse_restricted_text(_read(spec), n)
 
 

@@ -338,30 +338,18 @@ def materialize(tree: Cotree, edge_cap: int = DEFAULT_EDGE_CAP) -> Graph:
     """Expand the tree into an explicit graph.
 
     A join contributes the complete bipartite edge set between the leaf sets
-    of its children; a union contributes nothing.  The edge count is computed
-    first and checked against ``edge_cap`` so an accidental dense join fails
-    fast instead of exhausting memory.
+    of its children; a union contributes nothing.  The edge count is checked
+    against ``edge_cap`` before any adjacency row is allocated, so an
+    accidental dense join fails fast instead of exhausting memory.
     """
     tree = _in_postorder(tree)
     n = tree.leaf_count
     kind, a, b = tree.kind, tree.a, tree.b
 
-    m = 0
-    size = [0] * len(kind)
-    for i in range(len(kind)):
-        if kind[i] == LEAF:
-            size[i] = 1
-        else:
-            size[i] = size[a[i]] + size[b[i]]
-            if kind[i] == JOIN:
-                m += size[a[i]] * size[b[i]]
-                if m > edge_cap:
-                    raise EdgeCapExceeded(
-                        f"materialization needs more than {edge_cap} edges"
-                    )
-
     # Left-to-right leaf order puts every subtree's leaves in a contiguous
-    # range, so each join is a cross product of two slices.
+    # range, so each join is a cross product of two slices, and its side
+    # sizes are the lengths of those ranges.
+    m = 0
     leaf_order: list[int] = []
     lo = [0] * len(kind)
     hi = [0] * len(kind)
@@ -371,8 +359,15 @@ def materialize(tree: Cotree, edge_cap: int = DEFAULT_EDGE_CAP) -> Graph:
             leaf_order.append(a[i])
             hi[i] = len(leaf_order)
         else:
-            lo[i] = lo[a[i]]
-            hi[i] = hi[b[i]]
+            l, r = a[i], b[i]
+            lo[i] = lo[l]
+            hi[i] = hi[r]
+            if kind[i] == JOIN:
+                m += (hi[l] - lo[l]) * (hi[r] - lo[r])
+                if m > edge_cap:
+                    raise EdgeCapExceeded(
+                        f"materialization needs more than {edge_cap} edges"
+                    )
 
     adj: list[list[int]] = [[] for _ in range(n)]
     for i in range(len(kind)):

@@ -603,7 +603,7 @@ def parse_graph_text(text: str) -> Graph:
             if len(fields) != 3:
                 raise GraphError(f"line {lineno}: expected 'p <n> <m>'")
             try:
-                n, m_declared = int(fields[1]), int(fields[2])
+                n, m_declared = _int_token(fields[1]), _int_token(fields[2])
             except ValueError:
                 raise GraphError(f"line {lineno}: non-integer in 'p' header") from None
         elif fields[0] == "e":
@@ -612,7 +612,7 @@ def parse_graph_text(text: str) -> Graph:
             if len(fields) != 3:
                 raise GraphError(f"line {lineno}: expected 'e <u> <v>'")
             try:
-                edges.append((int(fields[1]), int(fields[2])))
+                edges.append((_int_token(fields[1]), _int_token(fields[2])))
             except ValueError:
                 raise GraphError(f"line {lineno}: non-integer endpoint") from None
         else:
@@ -634,28 +634,34 @@ def parse_restricted_text(text: str, n: int) -> RestrictedSet:
     """Whitespace-separated vertex ids, each a run of ASCII digits with an
     optional leading '-'; an empty file is the empty set."""
     tokens = text.split()
-    # Over the characters 0-9 and '-', int() accepts exactly those runs.
+    # Over the characters 0-9 and '-', int() takes a token exactly when
+    # _int_token does, so such a text converts in one map.
     try:
         ids = list(map(int, tokens)) if _ID_TEXT.fullmatch(text) else None
-    except ValueError:  # beyond int()'s digit limit
+    except ValueError:  # '1-2', '--1', or beyond int()'s digit limit
         ids = None
     if ids is None:
-        bad = next(tok for tok in tokens if not _is_vertex_id(tok))
-        raise GraphError(f"restricted set: non-integer token {bad!r}")
+        ids = []
+        for tok in tokens:
+            try:
+                ids.append(_int_token(tok))
+            except ValueError:
+                raise GraphError(f"restricted set: non-integer token {tok!r}") from None
     return RestrictedSet(n, ids)
 
 
 _ID_TEXT = re.compile(r"[0-9\s-]*")
+_INT_TOKEN = re.compile(r"-?[0-9]+")
 
 
-def _is_vertex_id(tok: str) -> bool:
-    if not re.fullmatch(r"-?[0-9]+", tok):
-        return False
-    try:
-        int(tok)
-    except ValueError:
-        return False
-    return True
+def _int_token(tok: str) -> int:
+    """The integer a number token spells: ASCII digits with an optional
+    leading '-', the one rule of every reader of the text formats.  Raises
+    ``ValueError`` otherwise, where bare ``int()`` would also take '1_2',
+    '+3' or non-ASCII digits."""
+    if not _INT_TOKEN.fullmatch(tok):
+        raise ValueError(f"not a number token: {tok!r}")
+    return int(tok)
 
 
 def format_restricted_text(restricted: RestrictedSet) -> str:

@@ -505,71 +505,52 @@ class SolveContext:
     # -- specialized tiny combines -----------------------------------------
     #
     # Two thirds of the internal nodes of a random tree touch a leaf child;
-    # these builders produce the exact result of composing leaf_summary with
-    # the generic combines, without materializing the leaf records.
+    # _union_leaf and _join_leaf produce the exact result of composing
+    # leaf_summary with the generic combines, without materializing the leaf
+    # record.  _leaf2_joint does not: see its docstring.
 
-    def _union_append_leaf(self, l: NodeSummary, v: int) -> NodeSummary:
-        """Union with a right leaf: append v to the pools of l."""
+    def _union_leaf(self, s: NodeSummary, v: int, leaf_left: bool) -> NodeSummary:
+        """Union of an inner summary s with the leaf v (the left operand when
+        leaf_left), built on s in place: v goes to the head of its pool when
+        it is the left operand, to the tail otherwise."""
         nxt = self.nxt
         x = self.labels[v]
-        l[_NV] += 1
-        l[_IC] += 1
+        s[_NV] += 1
+        s[_IC] += 1
         if self.rflags[x]:
-            l[_NR] += 1
-            nxt[v] = -1
-            t = l[_RT]
-            if t < 0:
-                l[_RH] = v
-            else:
-                nxt[t] = v
-            l[_RT] = v
-            if l[_XR] < 0 or x < l[_XR]:
-                l[_XR] = x
-                l[_XRI] = v
+            s[_NR] += 1
+            pool, ex = _RH, _XR
+        else:
+            pool, ex = _UH, _XF
+        if leaf_left:
+            h = s[pool]
+            nxt[v] = h
+            s[pool] = v
+            if h < 0:
+                s[pool + 1] = v
         else:
             nxt[v] = -1
-            t = l[_UT]
+            t = s[pool + 1]
             if t < 0:
-                l[_UH] = v
+                s[pool] = v
             else:
                 nxt[t] = v
-            l[_UT] = v
-            if l[_XF] < 0 or x < l[_XF]:
-                l[_XF] = x
-                l[_XFI] = v
-        l[_CASE] = "union"
-        return l
-
-    def _union_prepend_leaf(self, v: int, r: NodeSummary) -> NodeSummary:
-        """Union with a left leaf: prepend v to the pools of r."""
-        nxt = self.nxt
-        x = self.labels[v]
-        r[_NV] += 1
-        r[_IC] += 1
-        if self.rflags[x]:
-            r[_NR] += 1
-            h = r[_RH]
-            nxt[v] = h
-            r[_RH] = v
-            if h < 0:
-                r[_RT] = v
-            if r[_XR] < 0 or x < r[_XR]:
-                r[_XR] = x
-                r[_XRI] = v
-        else:
-            h = r[_UH]
-            nxt[v] = h
-            r[_UH] = v
-            if h < 0:
-                r[_UT] = v
-            if r[_XF] < 0 or x < r[_XF]:
-                r[_XF] = x
-                r[_XFI] = v
-        r[_CASE] = "union"
-        return r
+            s[pool + 1] = v
+        if s[ex] < 0 or x < s[ex]:
+            s[ex] = x
+            s[ex + 2] = v  # the exemplar's id
+        s[_CASE] = "union"
+        return s
 
     def _leaf2_joint(self, u: int, v: int) -> NodeSummary:
-        """Join of two leaves: exactly one cross pair, nothing pooled."""
+        """Join of two leaves: exactly one cross pair, nothing pooled.
+
+        This is part of the frozen tie-breaking, not a shortcut for
+        combine_joint on two leaf summaries: in the free-cross case the
+        generic join leaves both endpoints claimed in the free pool, where
+        they resurface at the pool's head when the free pair is later
+        dropped, while here they are appended at the tail.
+        """
         lab = self.labels
         xu, xv = lab[u], lab[v]
         fu = self.rflags[xu]
@@ -610,99 +591,83 @@ class SolveContext:
         nr = s[_NR]
         xf = s[_XFI]  # id of s's smallest free vertex
         x = self.labels[v]
-        if self.rflags[x]:
-            if nr >= 2:
-                # s is the kept side; v is the one right restricted vertex.
-                spare = nr - 2 * s[_KC] - s[_SC]
+        res = self.rflags[x]
+        if nr > res:
+            # s is the kept side; v is the one right vertex.  The pair that
+            # covers v is full when v is restricted, semi otherwise.
+            spare = nr - 2 * s[_KC] - s[_SC]
+            if spare > 0 or s[_SC]:
+                if s[_FC]:
+                    self._drop_free_pairs(s)
                 if spare > 0:
-                    if s[_FC]:
-                        self._drop_free_pairs(s)
-                    self._add_pair(s, _KH, self._pop_pool(s, _RH), v)
+                    u = self._pop_pool(s, _RH)
                     case = "cover-right"
-                elif s[_SC]:
-                    if s[_FC]:
-                        self._drop_free_pairs(s)
+                else:
                     u, w = self._pop_pair(s, _SH)
                     self._push_free(s, w)
-                    self._add_pair(s, _KH, u, v)
-                    case = "deficit-semi"
-                elif s[_NV] > nr:
-                    if s[_FC]:
-                        self._drop_free_pairs(s)
-                    self._add_pair(s, _SH, v, self._pop_pool(s, _UH))
-                    case = "deficit-odd-left-free"
-                else:
-                    if s[_FC]:
-                        raise SolverInternalError("all-restricted guard violated")
-                    self._append_pool(s, _RH, v)
-                    case = "all-restricted-odd"
-                if xf >= 0:
-                    s[_WR], s[_WF] = v, xf
-            elif nr == 1:
-                if s[_KC] or s[_SC] or s[_FC]:
-                    self._spill(s)
-                w = self._pop_pool(s, _RH)
-                if leaf_left:
-                    self._add_pair(s, _KH, v, w)
-                else:
-                    self._add_pair(s, _KH, w, v)
-                s[_WR], s[_WF] = v, xf
-                case = "balanced-cross"
-            else:
-                if s[_KC] or s[_SC] or s[_FC]:
-                    self._spill(s)
+                    case = "deficit-semi" if res else "move-semi"
+                self._add_pair(s, _KH if res else _SH, u, v)
+            elif not res:
+                if s[_FC] or s[_IC]:
+                    leaf = self.leaf_summary(v)
+                    if leaf_left:
+                        return self.combine_joint(leaf, s)
+                    return self.combine_joint(s, leaf)
+                self._append_pool(s, _UH, v)
+                case = "keep-full"
+            elif s[_NV] > nr:
+                if s[_FC]:
+                    self._drop_free_pairs(s)
                 self._add_pair(s, _SH, v, self._pop_pool(s, _UH))
-                s[_WR], s[_WF] = v, xf
-                case = "cover-plus"
-            if s[_XR] < 0 or x < s[_XR]:
-                s[_XR] = x
-                s[_XRI] = v
-            s[_NR] = nr + 1
+                case = "deficit-odd-left-free"
+            else:
+                if s[_FC]:
+                    raise SolverInternalError("all-restricted guard violated")
+                self._append_pool(s, _RH, v)
+                case = "all-restricted-odd"
         else:
-            if nr == 0:
-                w = xf
+            # v's side holds at least as many restricted vertices: s's
+            # solution is discarded.  As in the generic join, the free-cross
+            # claims come before the spill, which then settles xf's claim
+            # instead of pooling it, so xf cannot resurface at that position.
+            if not nr and not res:
                 claimed = self.claimed
                 claimed[v] += 1
-                claimed[w] += 1
-                if s[_KC] or s[_SC] or s[_FC]:
-                    self._spill(s)
+                claimed[xf] += 1
+            if s[_KC] or s[_SC] or s[_FC]:
+                self._spill(s)
+            if nr:
+                w = self._pop_pool(s, _RH)
+                self._add_pair(s, _KH, *((v, w) if leaf_left else (w, v)))
+                case = "balanced-cross"
+            elif res:
+                self._add_pair(s, _SH, v, self._pop_pool(s, _UH))
+                case = "cover-plus"
+            else:
+                self._add_pair(s, _FH, *((v, xf) if leaf_left else (xf, v)))
                 if leaf_left:
-                    self._add_pair(s, _FH, v, w)
                     h = s[_UH]
                     self.nxt[v] = h
                     s[_UH] = v
                     if h < 0:
                         s[_UT] = v
                 else:
-                    self._add_pair(s, _FH, w, v)
                     self._append_pool(s, _UH, v)
                 case = "free-cross"
-            else:
-                spare = nr - 2 * s[_KC] - s[_SC]
-                if spare > 0:
-                    if s[_FC]:
-                        self._drop_free_pairs(s)
-                    self._add_pair(s, _SH, self._pop_pool(s, _RH), v)
-                    case = "cover-right"
-                elif s[_SC]:
-                    if s[_FC]:
-                        self._drop_free_pairs(s)
-                    u, w = self._pop_pair(s, _SH)
-                    self._push_free(s, w)
-                    self._add_pair(s, _SH, u, v)
-                    case = "move-semi"
-                elif s[_FC] == 0 and s[_IC] == 0:
-                    self._append_pool(s, _UH, v)
-                    case = "keep-full"
-                else:
-                    leaf = self.leaf_summary(v)
-                    if leaf_left:
-                        return self.combine_joint(leaf, s)
-                    return self.combine_joint(s, leaf)
+        # v is adjacent to all of s: with s's exemplar of the other kind,
+        # when s has one, it forms the witness edge.
+        if res:
+            if xf >= 0:
+                s[_WR], s[_WF] = v, xf
+            ex = _XR
+        else:
+            if nr:
                 s[_WR], s[_WF] = s[_XRI], v
-            if xf < 0 or x < s[_XF]:
-                s[_XF] = x
-                s[_XFI] = v
+            ex = _XF
+        if s[ex] < 0 or x < s[ex]:
+            s[ex] = x
+            s[ex + 2] = v
+        s[_NR] = nr + res
         s[_NV] += 1
         s[_IC] = 0
         s[_CASE] = case
@@ -728,14 +693,11 @@ class SolveContext:
         if l[_WR] < 0 and r[_WR] >= 0:
             l[_WR] = r[_WR]
             l[_WF] = r[_WF]
-        xr = r[_XR]
-        if xr >= 0 and (l[_XR] < 0 or xr < l[_XR]):
-            l[_XR] = xr
-            l[_XRI] = r[_XRI]
-        xf = r[_XF]
-        if xf >= 0 and (l[_XF] < 0 or xf < l[_XF]):
-            l[_XF] = xf
-            l[_XFI] = r[_XFI]
+        for ex in (_XR, _XF):
+            x = r[ex]
+            if x >= 0 and (l[ex] < 0 or x < l[ex]):
+                l[ex] = x
+                l[ex + 2] = r[ex + 2]
         l[_CASE] = "union"
         return l
 
@@ -1088,8 +1050,7 @@ class SolveContext:
         union = self.combine_union
         joint = self.combine_joint
         leaf_summary = self.leaf_summary
-        append_leaf = self._union_append_leaf
-        prepend_leaf = self._union_prepend_leaf
+        union_leaf = self._union_leaf
         leaf2_joint = self._leaf2_joint
         join_leaf = self._join_leaf
         for knd in kind:
@@ -1100,11 +1061,11 @@ class SolveContext:
                 l = vals[-1]
                 if type(r) is int:
                     if type(l) is int:
-                        vals[-1] = append_leaf(leaf_summary(l), r)
+                        vals[-1] = union_leaf(leaf_summary(l), r, False)
                     else:
-                        vals[-1] = append_leaf(l, r)
+                        vals[-1] = union_leaf(l, r, False)
                 elif type(l) is int:
-                    vals[-1] = prepend_leaf(l, r)
+                    vals[-1] = union_leaf(r, l, True)
                 else:
                     vals[-1] = union(l, r)
             else:

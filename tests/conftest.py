@@ -49,6 +49,19 @@ def random_instance_params(seed: int) -> tuple[int, float, float]:
     return n, join_bias, density
 
 
+# Graph texts whose numbers are not ASCII digits with an optional leading
+# '-', which bare int() would read ('1_2' as 12, '+0' as 0, '\u0663' as 3).
+NON_NUMBER_GRAPH_TEXTS = [
+    pytest.param("p 1_2 1\ne 0 1\n", "line 1: non-integer in 'p' header",
+                 id="header-underscore"),
+    pytest.param("p 4 +1\ne 0 1\n", "line 1: non-integer in 'p' header",
+                 id="header-plus-sign"),
+    pytest.param("p 4 1\ne +0 1\n", "line 2: non-integer endpoint", id="endpoint-plus-sign"),
+    pytest.param("p 4 1\ne 0 \u0663\n", "line 2: non-integer endpoint",
+                 id="endpoint-arabic-indic"),
+]
+
+
 @pytest.fixture
 def q3() -> Graph:
     return cube_graph()

@@ -6,6 +6,7 @@ import pytest
 
 from pairdom import (
     EdgeClass,
+    GraphError,
     MPDSolution,
     PairedEdge,
     format_graph_text,
@@ -24,9 +25,10 @@ from pairdom.cli import (
     _parse_restricted_arg,
     format_solution,
     main,
+    parse_solution_text,
 )
 from pairdom.cotree import DEFAULT_EDGE_CAP, JOIN
-from conftest import cube_graph, path_graph
+from conftest import NON_NUMBER_GRAPH_TEXTS, cube_graph, path_graph
 
 
 def write(tmp_path, name, text):
@@ -104,6 +106,13 @@ class TestSolve:
         code = main(["solve", "--cotree", ct, "--restricted", f"0, {half}"])
         assert code == EXIT_OK
         assert capsys.readouterr().out == f"beta 2\nkfs 1 0 0\npair 0 {half} full\n"
+
+    @pytest.mark.parametrize("text, error", NON_NUMBER_GRAPH_TEXTS)
+    def test_graph_non_number_token(self, tmp_path, capsys, text, error):
+        gf = write(tmp_path, "bad.g", text)
+        code = main(["solve", "--graph", gf])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     @pytest.mark.parametrize("spec", ["0,1", "0, 1", " 0 1 ", "1,\t0,"])
     def test_inline_restricted_list(self, k2_cotree, capsys, spec):
@@ -192,14 +201,29 @@ class TestVerify:
             ("beta 0\nkfs 0 0 1\npair 0 1 bogus\n", "solution line 3: cannot parse"),
             ("beta 0\nbeta 5\nkfs 0 0 1\npair 0 1 free\n", "solution line 2: repeated beta"),
             ("beta 0\nkfs 0 0 1\nkfs 0 0 1\npair 0 1 free\n", "solution line 3: repeated kfs"),
+            ("beta \u0661\nkfs 0 0 1\npair 0 1 free\n", "solution line 1: cannot parse"),
+            ("beta 0\nkfs 0 0 1\npair \u0661 2 semi\n", "solution line 3: cannot parse"),
         ],
-        ids=["missing-header", "bad-class", "repeated-beta", "repeated-kfs"],
+        ids=["missing-header", "bad-class", "repeated-beta", "repeated-kfs",
+             "non-ascii-beta", "non-ascii-endpoint"],
     )
     def test_malformed_solution_file(self, k2_cotree, tmp_path, capsys, text, error):
         sol = write(tmp_path, "sol.txt", text)
         code = main(["verify", "--cotree", k2_cotree, "--solution", sol])
         assert code == EXIT_INPUT
         assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0661", "1" * 5000])
+    @pytest.mark.parametrize(
+        "line, template",
+        [(1, "beta {}\nkfs 0 0 1\n"), (2, "beta 0\nkfs 0 {} 1\n"),
+         (3, "beta 0\nkfs 0 0 1\npair {} 1 free\n")],
+        ids=["beta", "kfs", "pair"],
+    )
+    def test_solution_non_number_token(self, line, template, token):
+        with pytest.raises(GraphError) as err:
+            parse_solution_text(template.format(token))
+        assert str(err.value).startswith(f"solution line {line}: cannot parse")
 
     def test_tree_above_the_edge_cap_verifies(self, tmp_path, capsys):
         # K_{8000,8000}: 64M edges; verify checks the tree without them.

@@ -23,7 +23,7 @@ from pairdom import (
     parse_restricted_text,
     verify_solution,
 )
-from conftest import complete_graph, path_graph
+from conftest import NON_NUMBER_GRAPH_TEXTS, complete_graph, path_graph
 
 
 class TestBuildGraph:
@@ -227,6 +227,12 @@ class TestTextFormats:
 
     def test_restricted_leading_zeros_and_any_whitespace(self):
         assert parse_restricted_text(" 007\t3\n\n10 ", 12).members() == [3, 7, 10]
+
+    @pytest.mark.parametrize("text, error", NON_NUMBER_GRAPH_TEXTS)
+    def test_graph_non_number_token(self, text, error):
+        with pytest.raises(GraphError) as err:
+            parse_graph_text(text)
+        assert str(err.value) == error
 
 
 def brute_force_matchings(g):

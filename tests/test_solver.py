@@ -23,6 +23,7 @@ from pairdom import (
     solve,
     verify_solution,
 )
+from pairdom.cotree import JOIN, LEAF
 from conftest import random_instance_params
 
 
@@ -289,6 +290,65 @@ class TestRareJointConstructions:
             (2, 1, 0),
             "cover-plus",
         )
+
+
+def _fold_views(tree, restricted, leaf_builders):
+    """Fold the tree on a manual-mode context (ids are the labels) and
+    return the snapshot of every internal node, in postorder.
+
+    Leaves ride the fold as bare ids, as in ``SolveContext.run``.  With
+    ``leaf_builders`` a node with a leaf operand goes through ``_union_leaf``
+    or ``_join_leaf`` on run's dispatch; without, the leaf is materialized
+    by ``leaf_summary`` and the generic combine runs.  A join of two leaves
+    takes ``_leaf2_joint`` either way: it is part of the frozen tie-breaking
+    and not the generic join's result.
+    """
+    ctx = SolveContext(tree.leaf_count, restricted)
+    views = []
+
+    def fold(i):
+        if tree.kind[i] == LEAF:
+            return tree.a[i]
+        l, r = fold(tree.a[i]), fold(tree.b[i])
+        join = tree.kind[i] == JOIN
+        if join and type(l) is int and type(r) is int:
+            s = ctx._leaf2_joint(l, r)
+        elif leaf_builders and (type(l) is int or type(r) is int):
+            build = ctx._join_leaf if join else ctx._union_leaf
+            if type(r) is int:
+                if type(l) is int:
+                    l = ctx.leaf_summary(l)
+                s = build(l, r, False)
+            else:
+                s = build(r, l, True)
+        else:
+            if type(l) is int:
+                l = ctx.leaf_summary(l)
+            if type(r) is int:
+                r = ctx.leaf_summary(r)
+            s = (ctx.combine_joint if join else ctx.combine_union)(l, r)
+        views.append(ctx.snapshot(s))
+        return s
+
+    fold(tree.root)
+    return views
+
+
+class TestLeafBuilders:
+    """The leaf builders equal leaf_summary plus the generic combines at
+    every node, pool order and case tag included."""
+
+    @pytest.mark.parametrize("join_bias", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("density", [0.0, 0.3, 0.5, 0.7, 1.0])
+    def test_node_by_node(self, join_bias, density):
+        for seed in range(200):
+            n = 2 + seed % 39
+            tree = random_cotree(n, join_bias, seed)
+            restricted = random_restricted(n, density, seed + 1)
+            built = _fold_views(tree, restricted, True)
+            generic = _fold_views(tree, restricted, False)
+            for node, (b, g) in enumerate(zip(built, generic)):
+                assert b == g, f"n={n} seed={seed}: node {node} of {len(built)}"
 
 
 class TestGoldenRegression:
