@@ -9,6 +9,8 @@ parsing/generation/recognition, an exhaustive oracle for small graphs, and
 a CLI (``pairdom``).
 """
 
+from importlib import import_module
+
 from .cotree import (
     Cotree,
     CotreeParseError,
@@ -45,16 +47,35 @@ from .graphs import (
     parse_restricted_text,
     verify_solution,
 )
-from .oracle import (
-    OracleCapExceeded,
-    OracleResult,
-    enumerate_dominating_matchings,
-    oracle_canonical,
-    oracle_paired_domination_number,
-)
-from .solver import SolveContext, SolverInternalError, SummaryView, solve
 
 __version__ = "0.1.0"
+
+# The solver and oracle names load on first use, so a process that runs
+# neither (``pairdom verify``, ``gen``, ``recognize``) does not compile them.
+_LAZY = {
+    "OracleCapExceeded": "oracle",
+    "OracleResult": "oracle",
+    "enumerate_dominating_matchings": "oracle",
+    "oracle_canonical": "oracle",
+    "oracle_paired_domination_number": "oracle",
+    "SolveContext": "solver",
+    "SolverInternalError": "solver",
+    "SummaryView": "solver",
+    "solve": "solver",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
 
 __all__ = [
     "Certificate",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import re
-import statistics
 import sys
 import time
 from functools import partial
@@ -47,13 +46,9 @@ from .graphs import (
     parse_restricted_text,
     verify_solution,
 )
-from .oracle import (
-    OracleCapExceeded,
-    _check_cap,
-    oracle_canonical,
-    oracle_paired_domination_number,
-)
-from .solver import solve
+
+# The solver, the oracle and ``statistics`` are imported by the commands that
+# run them, so a process compiles only what its command needs.
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -159,6 +154,8 @@ class CliFailure(Exception):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .solver import solve
+
     tree = _load_tree(args)
     restricted = _parse_restricted_arg(args.restricted, tree.leaf_count)
     try:
@@ -196,6 +193,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import _check_cap, oracle_canonical, oracle_paired_domination_number
+
     if args.cotree is not None:
         tree = parse_cotree(_read(args.cotree))
         _check_cap(tree.leaf_count, args.max_n)  # before building any edge
@@ -242,6 +241,10 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    import statistics
+
+    from .solver import solve
+
     sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     rows = ["n,seed,solve_ns,pairs,beta"]
     medians: list[tuple[int, float]] = []
@@ -252,7 +255,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         last = None
         for _ in range(args.repeats):
             t0 = time.perf_counter_ns()
-            solution = solve(tree, restricted)
+            try:
+                solution = solve(tree, restricted)
+            except NoSolutionError as exc:
+                return _no_solution(exc)
             elapsed = time.perf_counter_ns() - t0
             times.append(elapsed)
             last = solution
@@ -352,7 +358,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliFailure as exc:
         print(str(exc))
         return exc.code
-    except (GraphError, OracleCapExceeded, ValueError, OSError) as exc:
+    # GraphError, CotreeParseError and OracleCapExceeded are ValueErrors.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

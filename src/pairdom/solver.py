@@ -4,11 +4,15 @@ The solver folds the tree bottom-up.  Every node carries a summary of its
 subtree graph: a canonical solution of the graph minus its isolated vertices,
 pools of unmatched vertices, and a few O(1) aggregates (a restricted-free
 witness edge, minimum-vertex exemplars).  A union concatenates the two child
-summaries unchanged.  A join rebuilds: with sides ordered so the left one
-holds at least as many restricted vertices, the whole right solution is
-discarded and the left one is patched with cross pairs, dispatching on how
-the left side's unmatched restricted supply compares with the right side's
-restricted and free demand.  Every construction leaves at most one free pair.
+summaries unchanged.  A join rebuilds, with sides ordered so the left one
+holds at least as many restricted vertices; the right solution is always
+discarded.  When the left side holds more, its solution is patched with cross
+pairs, dispatching on how its unmatched restricted supply compares with the
+right side's restricted and free demand.  When both hold equally many, the
+left solution is discarded too and the two restricted sets are paired
+straight across; two sides whose restricted vertices all sit in full pairs
+are relinked in place, pair slot by pair slot.  Every construction leaves at
+most one free pair.
 
 The solver never looks at adjacency.  The two constructions that need a
 restricted-free edge inside one side answer that question from the witness
@@ -164,8 +168,9 @@ class SolveContext:
 
     # -- chain primitives ------------------------------------------------------
 
-    def _new_pair(self, u: int, v: int) -> int:
-        """A pair slot holding (u, v), not yet on a chain; freed slots first."""
+    def _add_pair(self, summ: NodeSummary, chain: int, u: int, v: int) -> None:
+        """Append a new pair (u, v) to the chain whose head slot is chain;
+        freed slots first."""
         pu, pv, pn = self.pu, self.pv, self.pn
         if self.free_pids:
             pid = self.free_pids.pop()
@@ -179,16 +184,11 @@ class SolveContext:
             pn.append(-1)
         self.pof[u] = pid
         self.pof[v] = pid
-        return pid
-
-    def _add_pair(self, summ: NodeSummary, chain: int, u: int, v: int) -> None:
-        """Append a new pair (u, v) to the chain whose head slot is chain."""
-        pid = self._new_pair(u, v)
         tail = summ[chain + 1]
         if tail < 0:
             summ[chain] = pid
         else:
-            self.pn[tail] = pid
+            pn[tail] = pid
         summ[chain + 1] = pid
         summ[chain >> 1] += 1
 
@@ -379,6 +379,58 @@ class SolveContext:
         if rh < 0:
             r[_RT] = -1
 
+    def _relink_fulls(self, l: NodeSummary, r: NodeSummary) -> None:
+        """Balanced cross of two sides whose restricted vertices all sit in
+        live full pairs, neither restricted pool holding an entry: the exact
+        result of spilling both sides and crossing rl pairs, built in place.
+
+        Spilled, the i-th full pairs (ul, vl) of l and (ur, vr) of r pool as
+        ul, vl and ur, vr, so the cross pairs (ul, ur) then (vl, vr).  l's
+        old slot becomes the first, r's the second, linked in that order:
+        one step per two pairs, no pool written, no slot taken.  Dead slots
+        are freed and free pairs dropped, as _spill does.
+        """
+        pu, pv, pn, pof = self.pu, self.pv, self.pn, self.pof
+        free = self.free_pids.append
+        a, b = l[_KH], r[_KH]
+        tail = -1
+        for _ in range(l[_KC]):
+            if pu[a] < 0:  # dead: unlinked from the new chain
+                while pu[a] < 0:
+                    free(a)
+                    a = pn[a]
+                if tail < 0:
+                    l[_KH] = a
+                else:
+                    pn[tail] = a
+            ur = pu[b]
+            while ur < 0:
+                free(b)
+                b = pn[b]
+                ur = pu[b]
+            vl = pv[a]
+            pv[a] = ur
+            pu[b] = vl
+            pof[ur] = a
+            pof[vl] = b
+            na = pn[a]
+            pn[a] = tail = b
+            b = pn[b]
+            pn[tail] = a = na  # relinked on the next step when dead
+        for h in (a, b):  # only dead slots follow the last live pairs
+            while h >= 0:
+                if pu[h] >= 0:
+                    raise SolverInternalError("relink: full chains of unequal length")
+                free(h)
+                h = pn[h]
+        pn[tail] = -1
+        l[_KT] = tail
+        l[_KC] *= 2
+        if l[_FC]:
+            self._drop_free_pairs(l)
+        if r[_FC]:
+            self._drop_free_pairs(r)
+
     def _append_pool(self, summ: NodeSummary, pool: int, v: int) -> None:
         """Append v to the pool whose head slot is pool."""
         nxt = self.nxt
@@ -401,7 +453,10 @@ class SolveContext:
     # the previous tail only; the final tail is terminated once at the end.
 
     def _spill(self, summ: NodeSummary) -> None:
-        """Destroy the summary's entire solution; endpoints drop into pools."""
+        """Destroy the summary's entire solution; endpoints drop into pools.
+        A summary without pairs is left as it is."""
+        if not (summ[_KC] or summ[_SC] or summ[_FC]):
+            return
         pn, pu, pv = self.pn, self.pu, self.pv
         nxt, claimed = self.nxt, self.claimed
         free = self.free_pids.append
@@ -634,8 +689,7 @@ class SolveContext:
                 claimed = self.claimed
                 claimed[v] += 1
                 claimed[xf] += 1
-            if s[_KC] or s[_SC] or s[_FC]:
-                self._spill(s)
+            self._spill(s)
             if nr:
                 w = self._pop_pool(s, _RH)
                 self._add_pair(s, _KH, *((v, w) if leaf_left else (w, v)))
@@ -706,7 +760,8 @@ class SolveContext:
 
         The children are reordered so the kept side ("left" below) has at
         least as many restricted vertices.  The right side's solution is
-        always discarded; its vertices are re-paired across the cut or left
+        always discarded, and the left one too when the restricted counts
+        are equal; discarded vertices are re-paired across the cut or left
         in the pools.  The joint graph has no isolated vertices, so the
         output isolated count is zero.  Consumes both inputs.
         """
@@ -738,21 +793,20 @@ class SolveContext:
             vr = r[_XFI]
             claimed[vl] += 1
             claimed[vr] += 1
-            if l[_KC] or l[_SC] or l[_FC]:
-                self._spill(l)
-            if r[_KC] or r[_SC] or r[_FC]:
-                self._spill(r)
+            self._spill(l)
+            self._spill(r)
             self._add_pair(l, _FH, vl, vr)
             case = "free-cross"
         elif rl == rr:
             # Equal restricted counts: discard both solutions and pair the
             # restricted sets straight across; every pair is full, nothing
             # else is needed for domination.
-            if l[_KC] or l[_SC] or l[_FC]:
+            if rl == 2 * l[_KC] == 2 * r[_KC] and l[_RH] < 0 and r[_RH] < 0:
+                self._relink_fulls(l, r)
+            else:
                 self._spill(l)
-            if r[_KC] or r[_SC] or r[_FC]:
                 self._spill(r)
-            self._cross(l, r, rl, _KH, _RH)
+                self._cross(l, r, rl, _KH, _RH)
             case = "balanced-cross"
         else:
             kl = l[_KC]
@@ -765,8 +819,7 @@ class SolveContext:
                 raise SolverInternalError(
                     f"joint guard: spare={spare} kl={kl} sl={sl} res_r={res_r}"
                 )
-            if r[_KC] or r[_SC] or r[_FC]:
-                self._spill(r)
+            self._spill(r)
             # Every case below either drops the kept free pairs or requires
             # fl == 0, so they go now; the guards read fl.
             if fl:

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import pairdom
 from pairdom import (
     EdgeClass,
     GraphError,
@@ -386,6 +392,51 @@ class TestBench:
         out = capsys.readouterr().out.splitlines()
         rows = [line.split(",") for line in out[1:]]
         assert {(r[0], r[3], r[4]) for r in rows} == {("200", rows[1][3], rows[1][4])}
+
+
+    def test_no_solution_exits_2(self, capsys):
+        # random_cotree(10, 0.5, 0) leaves vertices 1 and 4 isolated.
+        code = main(["bench", "--sizes", "10", "--repeats", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NO_SOLUTION
+        assert captured.out == "no-solution isolated 1 4\n"
+        assert captured.err == ""
+
+
+class TestImports:
+    def test_verify_imports_neither_solver_nor_oracle(self, tmp_path):
+        # A fresh interpreter: this one has imported everything already.
+        ct = write(tmp_path, "k2.ct", "(* 0 1)\n")
+        sol = write(tmp_path, "k2.sol", "beta 2\nkfs 1 0 0\npair 0 1 full\n")
+        script = (
+            "import sys\n"
+            "from pairdom.cli import main\n"
+            f"code = main(['verify', '--cotree', {ct!r}, '--restricted', '0,1',"
+            f" '--solution', {sol!r}])\n"
+            "loaded = sorted({'pairdom.solver', 'pairdom.oracle', 'statistics'}"
+            " & set(sys.modules))\n"
+            "print(code, loaded)\n"
+        )
+        src = str(Path(pairdom.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from pairdom import *", namespace)
+        assert set(pairdom.__all__) <= set(namespace)
+        assert namespace["solve"] is pairdom.solver.solve
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            pairdom.nope
 
 
 class TestPipeline:

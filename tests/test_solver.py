@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import threading
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +22,13 @@ from pairdom import (
     parse_cotree,
     random_cotree,
     random_restricted,
+    serialize_cotree,
     solve,
     verify_solution,
 )
+from pairdom.cli import format_solution
 from pairdom.cotree import JOIN, LEAF
+from pairdom.solver import _FC, _KH, _NR, _NV, _RH
 from conftest import random_instance_params
 
 
@@ -291,10 +296,80 @@ class TestRareJointConstructions:
             "cover-plus",
         )
 
+    # Balanced crosses that relink in place or must not.  ``relinks`` holds
+    # each relink's two sides as (vertices, free pairs, dead full slots).
 
-def _fold_views(tree, restricted, leaf_builders):
-    """Fold the tree on a manual-mode context (ids are the labels) and
-    return the snapshot of every internal node, in postorder.
+    def test_balanced_cross_over_free_bridge(self, relinks):
+        # The left child is free-bridge's (0,1) full plus the free pair
+        # (2,3), which drops into the free pool; 2 and 3 stay unmatched.
+        sol = self.check(
+            "(* (* (+ (* 0 1) 2) 3) (* 4 5))", [0, 1, 4, 5], (2, 0, 0), "balanced-cross"
+        )
+        assert norm_pairs(sol) == [(0, 4), (1, 5)]
+        assert relinks == [((4, 1, 0), (2, 0, 0))]
+
+    @pytest.mark.parametrize(
+        "text, sides",
+        [
+            # witness-split leaves a dead slot mid-way along the left full
+            # chain; deficit-semi then turns both its semis into fulls.
+            (
+                "(* (* (+ (* 5 6) (* (+ (* (* 0 1) 2) 3) 4)) (+ 7 8))"
+                " (+ (* 9 10) (+ (* 11 12) (* 13 14))))",
+                ((9, 0, 1), (6, 0, 0)),
+            ),
+            # The same side on the right, its dead slot at the chain head.
+            (
+                "(* (+ (* 9 10) (+ (* 11 12) (* 13 14)))"
+                " (* (+ (* (+ (* (* 0 1) 2) 3) 4) (* 5 6)) (+ 7 8)))",
+                ((6, 0, 0), (9, 0, 1)),
+            ),
+        ],
+        ids=["left-mid-chain", "right-head"],
+    )
+    def test_balanced_cross_over_dead_full_slot(self, relinks, text, sides):
+        # The join with 15 above takes the last freed slot for its semi
+        # pair: a dead slot left linked in the relinked chain would cut it.
+        sol = self.check(
+            f"(* {text} 15)",
+            [0, 1, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+            (6, 1, 0),
+            "deficit-odd-left-free",
+        )
+        assert norm_pairs(sol) == [
+            (0, 13), (1, 11), (2, 15), (5, 9), (6, 10), (7, 12), (8, 14)
+        ]
+        assert relinks == [sides]
+
+    def test_balanced_cross_over_all_restricted_odd(self, relinks):
+        # Both sides are K_3, all restricted, each with one vertex pooled:
+        # not every restricted vertex is in a full pair, so no relink.
+        sol = self.check(
+            "(* (* (* 1 5) 0) (* 2 (* 4 3)))", range(6), (3, 0, 0), "balanced-cross"
+        )
+        assert norm_pairs(sol) == [(0, 2), (1, 4), (3, 5)]
+        assert relinks == []
+
+    def test_claimed_restricted_entry_keeps_the_spill(self, relinks):
+        # deficit-odd-witness pairs 7 with its witness partner 1 out of
+        # turn, leaving a claimed entry for 7 in the restricted pool, and
+        # deficit-semi makes (7, 6) full.  At the balanced cross above, every
+        # restricted vertex of that side is in a full pair, yet the spill
+        # pools 7 at that entry, ahead of 8 and 5: no relink.
+        sol = self.check(
+            "(* (* (* 0 12) 3) (* (+ (+ (* 2 10) 9) (* 4 11)) (* (* (* 8 5) (* 7 1)) 6)))",
+            [0, 2, 4, 5, 6, 7, 8, 10, 11, 12],
+            (5, 0, 0),
+            "deficit-full",
+        )
+        assert norm_pairs(sol) == [(0, 2), (4, 5), (6, 11), (7, 12), (8, 10)]
+        assert relinks == []
+
+
+def _fold_views(tree, restricted, leaf_builders, ctx=None):
+    """Fold the tree on a manual-mode context (ids are the labels; a fresh
+    one unless ``ctx`` is given) and return the snapshot of every internal
+    node, with the context's ``claimed`` counts after it, in postorder.
 
     Leaves ride the fold as bare ids, as in ``SolveContext.run``.  With
     ``leaf_builders`` a node with a leaf operand goes through ``_union_leaf``
@@ -303,7 +378,8 @@ def _fold_views(tree, restricted, leaf_builders):
     takes ``_leaf2_joint`` either way: it is part of the frozen tie-breaking
     and not the generic join's result.
     """
-    ctx = SolveContext(tree.leaf_count, restricted)
+    if ctx is None:
+        ctx = SolveContext(tree.leaf_count, restricted)
     views = []
 
     def fold(i):
@@ -327,16 +403,40 @@ def _fold_views(tree, restricted, leaf_builders):
             if type(r) is int:
                 r = ctx.leaf_summary(r)
             s = (ctx.combine_joint if join else ctx.combine_union)(l, r)
-        views.append(ctx.snapshot(s))
+        views.append((ctx.snapshot(s), tuple(ctx.claimed)))
         return s
 
     fold(tree.root)
     return views
 
 
+def _dead_slots(ctx, summ):
+    """Dead slots on the summary's full-pair chain."""
+    dead, pid = 0, summ[_KH]
+    while pid >= 0:
+        dead += ctx.pu[pid] < 0
+        pid = ctx.pn[pid]
+    return dead
+
+
+@pytest.fixture
+def relinks(monkeypatch):
+    """Every ``_relink_fulls`` call made during the test, recorded as its
+    two sides' (vertex count, free pairs, dead full-chain slots)."""
+    calls = []
+    relink = SolveContext._relink_fulls
+
+    def recorded(self, l, r):
+        calls.append(tuple((s[_NV], s[_FC], _dead_slots(self, s)) for s in (l, r)))
+        relink(self, l, r)
+
+    monkeypatch.setattr(SolveContext, "_relink_fulls", recorded)
+    return calls
+
+
 class TestLeafBuilders:
     """The leaf builders equal leaf_summary plus the generic combines at
-    every node, pool order and case tag included."""
+    every node, pool order, case tag and claimed counts included."""
 
     @pytest.mark.parametrize("join_bias", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("density", [0.0, 0.3, 0.5, 0.7, 1.0])
@@ -349,6 +449,83 @@ class TestLeafBuilders:
             generic = _fold_views(tree, restricted, False)
             for node, (b, g) in enumerate(zip(built, generic)):
                 assert b == g, f"n={n} seed={seed}: node {node} of {len(built)}"
+
+
+def _spill_and_cross(self, l, r):
+    """What ``_relink_fulls`` replaces: spill both sides, then cross."""
+    self._spill(l)
+    self._spill(r)
+    self._cross(l, r, l[_NR], _KH, _RH)
+
+
+def _solution_text(tree, restricted):
+    try:
+        return format_solution(solve(tree, restricted))
+    except NoSolutionError as exc:
+        return f"no-solution {exc.isolated}"
+
+
+def _perfect_join_text(lo, hi):
+    if hi - lo == 1:
+        return str(lo)
+    mid = (lo + hi) // 2
+    return f"(* {_perfect_join_text(lo, mid)} {_perfect_join_text(mid, hi)})"
+
+
+class TestRelinkFulls:
+    """A balanced cross of two sides whose restricted vertices all sit in
+    full pairs, relinked in place, equals spilling both sides and crossing:
+    every node's snapshot and claimed counts, and the solution text."""
+
+    def compare(self, tree, restricted, monkeypatch):
+        reference = SolveContext(tree.leaf_count, restricted)
+        reference._relink_fulls = partial(_spill_and_cross, reference)
+        relinked = _fold_views(tree, restricted, True)
+        spilled = _fold_views(tree, restricted, True, reference)
+        for node, (a, b) in enumerate(zip(relinked, spilled)):
+            assert a == b, f"node {node} of {len(relinked)}"
+        text = _solution_text(tree, restricted)
+        with monkeypatch.context() as m:
+            m.setattr(SolveContext, "_relink_fulls", _spill_and_cross)
+            assert _solution_text(tree, restricted) == text
+
+    @pytest.mark.parametrize("join_bias", [0.5, 0.8])
+    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+    def test_random_trees(self, relinks, monkeypatch, join_bias, density):
+        for seed in range(400):
+            n = 2 + seed % 47
+            tree = random_cotree(n, join_bias, seed)
+            self.compare(tree, random_restricted(n, density, seed + 1), monkeypatch)
+        # With nothing restricted a balanced cross is a free cross.
+        assert bool(relinks) == (density > 0)
+
+    @pytest.mark.parametrize("all_restricted", [True, False], ids=["R=V", "R=empty"])
+    def test_perfect_join_trees(self, relinks, monkeypatch, all_restricted):
+        for depth in range(1, 8):
+            n = 1 << depth
+            tree = parse_cotree(_perfect_join_text(0, n))
+            self.compare(tree, range(n) if all_restricted else [], monkeypatch)
+        # With R = V every join above the leaf pairs relinks, once in the
+        # fold and once in solve: 2 * (n/2 - 1) per tree.
+        assert len(relinks) == (sum(2 * ((1 << d) // 2 - 1) for d in range(1, 8))
+                                if all_restricted else 0)
+
+    def test_odd_all_restricted_sides(self, relinks, monkeypatch):
+        # Each side is connected, all restricted and of odd order, so it
+        # keeps one restricted vertex pooled: the root's balanced cross
+        # spills.
+        for seed in range(60):
+            m = 3 + 2 * (seed % 6)
+            sides = []
+            for k in range(2):
+                side = random_cotree(m, 0.8, 2 * seed + k)
+                side.kind[side.root] = JOIN
+                sides.append(serialize_cotree(side))
+            right = re.sub(r"\d+", lambda t: str(int(t.group()) + m), sides[1])
+            tree = parse_cotree(f"(* {sides[0]} {right})")
+            relinks.clear()
+            self.compare(tree, range(2 * m), monkeypatch)
+            assert all(l[0] + r[0] < 2 * m for l, r in relinks)
 
 
 class TestGoldenRegression:
