@@ -25,7 +25,6 @@ from functools import partial
 from typing import NoReturn, Optional, Sequence
 
 from .cotree import (
-    Cotree,
     P4Witness,
     materialize,
     parse_cotree,
@@ -36,6 +35,7 @@ from .cotree import (
     verify_on_tree,
 )
 from .graphs import (
+    EdgeClass,
     GraphError,
     MPDSolution,
     NoSolutionError,
@@ -55,6 +55,8 @@ EXIT_INPUT = 1
 EXIT_NO_SOLUTION = 2
 EXIT_NOT_COGRAPH = 3
 EXIT_VERIFY_FAILED = 4
+
+_PAIR_CLASSES = frozenset(cls.value for cls in EdgeClass)
 
 
 def format_solution(solution: MPDSolution) -> str:
@@ -91,7 +93,7 @@ def parse_solution_text(text: str) -> tuple[int, tuple[int, int, int], list[tupl
                 beta = _int_token(fields[1])
             elif head == "kfs" and len(fields) == 4 and kfs is None:
                 kfs = (_int_token(fields[1]), _int_token(fields[2]), _int_token(fields[3]))
-            elif head == "pair" and len(fields) == 4 and fields[3] in ("full", "semi", "free"):
+            elif head == "pair" and len(fields) == 4 and fields[3] in _PAIR_CLASSES:
                 pairs.append((_int_token(fields[1]), _int_token(fields[2])))
             else:
                 raise ValueError
@@ -124,6 +126,12 @@ def _no_solution(exc: NoSolutionError) -> int:
     return EXIT_NO_SOLUTION
 
 
+def _not_cograph(witness: P4Witness) -> int:
+    """Print the ``p4 a b c d`` line; returns its exit code."""
+    print(f"p4 {witness.a} {witness.b} {witness.c} {witness.d}")
+    return EXIT_NOT_COGRAPH
+
+
 def _parse_restricted_arg(spec: Optional[str], n: int) -> RestrictedSet:
     """Inline list (``0,3,5`` or ``"0, 3 5"``: only digits, commas and
     whitespace) or a file path; absent means empty."""
@@ -134,29 +142,16 @@ def _parse_restricted_arg(spec: Optional[str], n: int) -> RestrictedSet:
     return parse_restricted_text(_read(spec), n)
 
 
-def _load_tree(args: argparse.Namespace) -> Cotree:
-    """The cotree from --cotree, or recognized from --graph (a P4 aborts
-    with exit 3 via CliFailure).  Nothing is materialized."""
-    if args.cotree is not None:
-        return parse_cotree(_read(args.cotree))
-    result = recognize(parse_graph_text(_read(args.graph)))
-    if isinstance(result, P4Witness):
-        raise CliFailure(
-            EXIT_NOT_COGRAPH, f"p4 {result.a} {result.b} {result.c} {result.d}"
-        )
-    return result
-
-
-class CliFailure(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     from .solver import solve
 
-    tree = _load_tree(args)
+    # A graph is recognized into its cotree; nothing is materialized.
+    if args.cotree is not None:
+        tree = parse_cotree(_read(args.cotree))
+    else:
+        tree = recognize(parse_graph_text(_read(args.graph)))
+        if isinstance(tree, P4Witness):
+            return _not_cograph(tree)
     restricted = _parse_restricted_arg(args.restricted, tree.leaf_count)
     try:
         solution = solve(tree, restricted)
@@ -234,8 +229,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     graph = parse_graph_text(_read(args.graph))
     result = recognize(graph)
     if isinstance(result, P4Witness):
-        print(f"p4 {result.a} {result.b} {result.c} {result.d}")
-        return EXIT_NOT_COGRAPH
+        return _not_cograph(result)
     print(serialize_cotree(result))
     return EXIT_OK
 
@@ -355,9 +349,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliFailure as exc:
-        print(str(exc))
-        return exc.code
     # GraphError, CotreeParseError and OracleCapExceeded are ValueErrors.
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,9 +10,10 @@ discarded.  When the left side holds more, its solution is patched with cross
 pairs, dispatching on how its unmatched restricted supply compares with the
 right side's restricted and free demand.  When both hold equally many, the
 left solution is discarded too and the two restricted sets are paired
-straight across; two sides whose restricted vertices all sit in full pairs
-are relinked in place, pair slot by pair slot.  Every construction leaves at
-most one free pair.
+straight across; two sides whose pairs are all full and hold every
+restricted vertex are relinked in place, pair slot by pair slot, as long as
+no pair of the solve has died.  Every construction leaves at most one free
+pair.
 
 The solver never looks at adjacency.  The two constructions that need a
 restricted-free edge inside one side answer that question from the witness
@@ -130,11 +131,13 @@ class SolveContext:
         # leaves its chain is reused: a pair popped off a chain head may hand
         # it straight to the pair that replaces it, and destroyed pairs put
         # theirs on the free list.  A pair removed from the middle of a chain
-        # is marked dead by pu[pid] = -1 and skipped by walkers.
+        # is marked dead by pu[pid] = -1 and skipped by walkers; dead_pairs
+        # records that one was, so no chain is relinked over a dead slot.
         self.pu: list[int] = []
         self.pv: list[int] = []
         self.pn: list[int] = []
         self.free_pids: list[int] = []
+        self.dead_pairs = False
         self.pof = [-1] * n  # vertex -> pair id; valid only while matched
         self.nxt = [-1] * n  # link slot for the unmatched pools
         # claimed[v] > 0 means v was consumed out of turn by a construction
@@ -194,7 +197,8 @@ class SolveContext:
 
     def _pop_pair(self, summ: NodeSummary, chain: int) -> tuple[int, int]:
         """Remove the first live pair of the chain whose head slot is chain;
-        its slot goes to the free list.  Returns its endpoints."""
+        its slot, and any dead slot stepped past, go to the free list.
+        Returns its endpoints."""
         pn, pu = self.pn, self.pu
         h = summ[chain]
         while True:
@@ -202,8 +206,9 @@ class SolveContext:
                 raise SolverInternalError("pair pop from an empty chain")
             pid = h
             h = pn[pid]
-            if pu[pid] >= 0:  # else dead
+            if pu[pid] >= 0:
                 break
+            self.free_pids.append(pid)  # dead
         summ[chain] = h
         if h < 0:
             summ[chain + 1] = -1
@@ -307,7 +312,8 @@ class SolveContext:
     def _split_fulls(self, l: NodeSummary, r: NodeSummary, cnt: int) -> None:
         """Destroy cnt full pairs; all endpoints re-pair with right
         restricted pops, two new full pairs per old one.  The first new pair
-        takes over the old pair's slot, which has just left the chain head.
+        takes over the old pair's slot, which has just left the chain head;
+        dead slots stepped past on the way go to the free list.
 
         Callers guarantee cnt is strictly below the live full-pair count, so
         the head cursor below can never run into the pairs this loop appends
@@ -327,7 +333,8 @@ class SolveContext:
             if old < 0:
                 raise SolverInternalError("full-pair pop from an empty chain")
             kh = pn[old]
-            while pu[old] < 0:  # dead
+            while pu[old] < 0:  # dead: freed as it leaves the chain
+                free.append(old)
                 old = kh
                 if old < 0:
                     raise SolverInternalError("full-pair pop from an empty chain")
@@ -380,34 +387,21 @@ class SolveContext:
             r[_RT] = -1
 
     def _relink_fulls(self, l: NodeSummary, r: NodeSummary) -> None:
-        """Balanced cross of two sides whose restricted vertices all sit in
-        live full pairs, neither restricted pool holding an entry: the exact
-        result of spilling both sides and crossing rl pairs, built in place.
+        """Balanced cross of two sides whose pairs are all full and whose
+        full chains hold no dead slot, neither restricted pool holding an
+        entry: the exact result of spilling both sides and crossing rl
+        pairs, built in place.
 
         Spilled, the i-th full pairs (ul, vl) of l and (ur, vr) of r pool as
         ul, vl and ur, vr, so the cross pairs (ul, ur) then (vl, vr).  l's
         old slot becomes the first, r's the second, linked in that order:
-        one step per two pairs, no pool written, no slot taken.  Dead slots
-        are freed and free pairs dropped, as _spill does.
+        one step per two pairs, no pool written, no slot taken or freed.
         """
         pu, pv, pn, pof = self.pu, self.pv, self.pn, self.pof
-        free = self.free_pids.append
         a, b = l[_KH], r[_KH]
         tail = -1
         for _ in range(l[_KC]):
-            if pu[a] < 0:  # dead: unlinked from the new chain
-                while pu[a] < 0:
-                    free(a)
-                    a = pn[a]
-                if tail < 0:
-                    l[_KH] = a
-                else:
-                    pn[tail] = a
             ur = pu[b]
-            while ur < 0:
-                free(b)
-                b = pn[b]
-                ur = pu[b]
             vl = pv[a]
             pv[a] = ur
             pu[b] = vl
@@ -416,20 +410,11 @@ class SolveContext:
             na = pn[a]
             pn[a] = tail = b
             b = pn[b]
-            pn[tail] = a = na  # relinked on the next step when dead
-        for h in (a, b):  # only dead slots follow the last live pairs
-            while h >= 0:
-                if pu[h] >= 0:
-                    raise SolverInternalError("relink: full chains of unequal length")
-                free(h)
-                h = pn[h]
-        pn[tail] = -1
+            pn[tail] = a = na
+        if a >= 0 or b >= 0:
+            raise SolverInternalError("relink: full chains of unequal length")
         l[_KT] = tail
         l[_KC] *= 2
-        if l[_FC]:
-            self._drop_free_pairs(l)
-        if r[_FC]:
-            self._drop_free_pairs(r)
 
     def _append_pool(self, summ: NodeSummary, pool: int, v: int) -> None:
         """Append v to the pool whose head slot is pool."""
@@ -762,7 +747,11 @@ class SolveContext:
         least as many restricted vertices.  The right side's solution is
         always discarded, and the left one too when the restricted counts
         are equal; discarded vertices are re-paired across the cut or left
-        in the pools.  The joint graph has no isolated vertices, so the
+        in the pools.  Equal counts relink the two full chains in place when
+        every restricted vertex sits in a full pair, neither side holds a
+        free pair or a restricted pool entry, and no pair of this solve has
+        died (witness-split kills one); any other balanced cross spills both
+        sides and crosses.  The joint graph has no isolated vertices, so the
         output isolated count is zero.  Consumes both inputs.
         """
         l, r = left, right
@@ -801,7 +790,8 @@ class SolveContext:
             # Equal restricted counts: discard both solutions and pair the
             # restricted sets straight across; every pair is full, nothing
             # else is needed for domination.
-            if rl == 2 * l[_KC] == 2 * r[_KC] and l[_RH] < 0 and r[_RH] < 0:
+            if (rl == 2 * l[_KC] == 2 * r[_KC] and l[_RH] < 0 and r[_RH] < 0
+                    and not (l[_FC] or r[_FC] or self.dead_pairs)):
                 self._relink_fulls(l, r)
             else:
                 self._spill(l)
@@ -870,6 +860,7 @@ class SolveContext:
                         raise SolverInternalError("witness endpoint is not matched")
                     partner = self.pv[pid] if self.pu[pid] == w_res else self.pu[pid]
                     self.pu[pid] = -1  # dead; chain walkers skip it
+                    self.dead_pairs = True
                     l[_KC] -= 1
                     claimed[w_free] += 1
                     self._add_pair(l, _SH, partner, self._pop_pool(r, _UH))

@@ -28,7 +28,7 @@ from pairdom import (
 )
 from pairdom.cli import format_solution
 from pairdom.cotree import JOIN, LEAF
-from pairdom.solver import _FC, _KH, _NR, _NV, _RH
+from pairdom.solver import _FC, _FH, _KH, _NR, _NV, _RH, _SH
 from conftest import random_instance_params
 
 
@@ -297,7 +297,7 @@ class TestRareJointConstructions:
         )
 
     # Balanced crosses that relink in place or must not.  ``relinks`` holds
-    # each relink's two sides as (vertices, free pairs, dead full slots).
+    # each relink's vertex count.
 
     def test_balanced_cross_over_free_bridge(self, relinks):
         # The left child is free-bridge's (0,1) full plus the free pair
@@ -306,30 +306,25 @@ class TestRareJointConstructions:
             "(* (* (+ (* 0 1) 2) 3) (* 4 5))", [0, 1, 4, 5], (2, 0, 0), "balanced-cross"
         )
         assert norm_pairs(sol) == [(0, 4), (1, 5)]
-        assert relinks == [((4, 1, 0), (2, 0, 0))]
+        # A side with a free pair spills.
+        assert relinks == []
 
     @pytest.mark.parametrize(
-        "text, sides",
+        "text",
         [
             # witness-split leaves a dead slot mid-way along the left full
             # chain; deficit-semi then turns both its semis into fulls.
-            (
-                "(* (* (+ (* 5 6) (* (+ (* (* 0 1) 2) 3) 4)) (+ 7 8))"
-                " (+ (* 9 10) (+ (* 11 12) (* 13 14))))",
-                ((9, 0, 1), (6, 0, 0)),
-            ),
+            "(* (* (+ (* 5 6) (* (+ (* (* 0 1) 2) 3) 4)) (+ 7 8))"
+            " (+ (* 9 10) (+ (* 11 12) (* 13 14))))",
             # The same side on the right, its dead slot at the chain head.
-            (
-                "(* (+ (* 9 10) (+ (* 11 12) (* 13 14)))"
-                " (* (+ (* (+ (* (* 0 1) 2) 3) 4) (* 5 6)) (+ 7 8)))",
-                ((6, 0, 0), (9, 0, 1)),
-            ),
+            "(* (+ (* 9 10) (+ (* 11 12) (* 13 14)))"
+            " (* (+ (* (+ (* (* 0 1) 2) 3) 4) (* 5 6)) (+ 7 8)))",
         ],
         ids=["left-mid-chain", "right-head"],
     )
-    def test_balanced_cross_over_dead_full_slot(self, relinks, text, sides):
+    def test_balanced_cross_over_dead_full_slot(self, relinks, text):
         # The join with 15 above takes the last freed slot for its semi
-        # pair: a dead slot left linked in the relinked chain would cut it.
+        # pair: a dead slot freed but left linked in a live chain would cut it.
         sol = self.check(
             f"(* {text} 15)",
             [0, 1, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
@@ -339,7 +334,22 @@ class TestRareJointConstructions:
         assert norm_pairs(sol) == [
             (0, 13), (1, 11), (2, 15), (5, 9), (6, 10), (7, 12), (8, 14)
         ]
-        assert relinks == [sides]
+        # A pair of this solve died before the balanced cross: it spills.
+        assert relinks == []
+
+    @pytest.mark.parametrize("witness_first", [True, False], ids=["witness-first", "relink-first"])
+    def test_balanced_cross_beside_a_witness_split(self, relinks, witness_first):
+        # Two subtrees under a union: a witness-split, and a balanced cross
+        # of two full pairs.  The cross relinks only when it folds first.
+        split = "(* (+ (* (* 0 1) 2) 3) 4)"
+        cross = "(* (* 5 6) (* 7 8))"
+        text = f"(+ {split} {cross})" if witness_first else f"(+ {cross} {split})"
+        sol = self.check(text, [0, 1, 5, 6, 7, 8], (2, 2, 0), "union")
+        assert format_solution(sol) == (
+            "beta 6\nkfs 2 2 0\npair 0 2 semi\npair 1 4 semi\n"
+            "pair 5 7 full\npair 6 8 full\n"
+        )
+        assert relinks == ([] if witness_first else [4])
 
     def test_balanced_cross_over_all_restricted_odd(self, relinks):
         # Both sides are K_3, all restricted, each with one vertex pooled:
@@ -410,24 +420,28 @@ def _fold_views(tree, restricted, leaf_builders, ctx=None):
     return views
 
 
-def _dead_slots(ctx, summ):
-    """Dead slots on the summary's full-pair chain."""
-    dead, pid = 0, summ[_KH]
-    while pid >= 0:
-        dead += ctx.pu[pid] < 0
-        pid = ctx.pn[pid]
-    return dead
+def _chain_slots(ctx, head):
+    """Slots on the chain starting at head, dead ones included."""
+    slots = []
+    while head >= 0:
+        slots.append(head)
+        head = ctx.pn[head]
+    return slots
 
 
 @pytest.fixture
 def relinks(monkeypatch):
-    """Every ``_relink_fulls`` call made during the test, recorded as its
-    two sides' (vertex count, free pairs, dead full-chain slots)."""
+    """Every ``_relink_fulls`` call made during the test, recorded as the
+    vertex count of its two sides; neither may hold a free pair or a dead
+    full-chain slot."""
     calls = []
     relink = SolveContext._relink_fulls
 
     def recorded(self, l, r):
-        calls.append(tuple((s[_NV], s[_FC], _dead_slots(self, s)) for s in (l, r)))
+        for s in (l, r):
+            assert s[_FC] == 0
+            assert all(self.pu[pid] >= 0 for pid in _chain_slots(self, s[_KH]))
+        calls.append(l[_NV] + r[_NV])
         relink(self, l, r)
 
     monkeypatch.setattr(SolveContext, "_relink_fulls", recorded)
@@ -525,7 +539,22 @@ class TestRelinkFulls:
             tree = parse_cotree(f"(* {sides[0]} {right})")
             relinks.clear()
             self.compare(tree, range(2 * m), monkeypatch)
-            assert all(l[0] + r[0] < 2 * m for l, r in relinks)
+            assert all(v < 2 * m for v in relinks)
+
+
+class TestPairArena:
+    def test_every_slot_is_on_a_root_chain_or_free(self):
+        # A pop that steps past a dead slot at a chain head frees it too, so
+        # after the fold each slot of the arena is on exactly one of the
+        # root's chains or on the free list.
+        for seed in range(3000):
+            n = 4 + seed % 60
+            tree = random_cotree(n, 0.7, seed)
+            tree.kind[tree.root] = JOIN
+            ctx = SolveContext(n, random_restricted(n, 0.5, seed + 1))
+            root = ctx.run(tree)
+            slots = [pid for h in (_KH, _SH, _FH) for pid in _chain_slots(ctx, root[h])]
+            assert sorted(slots + ctx.free_pids) == list(range(len(ctx.pu))), f"seed {seed}"
 
 
 class TestGoldenRegression:
