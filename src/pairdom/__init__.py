@@ -50,8 +50,9 @@ from .graphs import (
 
 __version__ = "0.1.0"
 
-# The solver and oracle names load on first use, so a process that runs
-# neither (``pairdom verify``, ``gen``, ``recognize``) does not compile them.
+# The solver, diagnostics and oracle names load on first use, so a process
+# that runs none of them (``pairdom verify``, ``gen``, ``recognize``) does
+# not compile them.
 _LAZY = {
     "OracleCapExceeded": "oracle",
     "OracleResult": "oracle",
@@ -60,7 +61,7 @@ _LAZY = {
     "oracle_paired_domination_number": "oracle",
     "SolveContext": "solver",
     "SolverInternalError": "solver",
-    "SummaryView": "solver",
+    "SummaryView": "diagnostics",
     "solve": "solver",
 }
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import islice
-from operator import length_hint
+from itertools import compress, islice
+from operator import length_hint, not_
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .graphs import (
@@ -47,8 +47,10 @@ __all__ = [
     "is_induced_p4",
 ]
 
-# Node kinds.  Leaves store their vertex id in ``a``; internal nodes store
-# child node indices in ``a`` (left) and ``b`` (right).
+# Node kinds.  ``a`` is the only store of the leaf labels: a leaf holds its
+# vertex id there.  An internal node holds its child node indices in ``a``
+# (left) and ``b`` (right); a parsed tree stores -1 in ``a`` instead and no
+# ``b``, and derives both on first read (see :class:`Cotree`).
 LEAF = 0
 UNION = 1
 JOIN = 2
@@ -82,7 +84,9 @@ class Cotree:
 
     ``kind[i]`` is LEAF/UNION/JOIN; for a leaf, ``a[i]`` is its vertex id and
     ``b[i]`` is -1; for an internal node, ``a[i]``/``b[i]`` are the child
-    node indices.  Instances are immutable by convention after construction.
+    node indices.  ``a`` is the only store of the leaf labels, so writing
+    ``a[i]`` at a leaf relabels it for every reader.  Instances are
+    otherwise immutable by convention after construction.
 
     ``postordered`` declares that the arena is stored in left-first postorder:
     every subtree occupies a contiguous index range ending at its root, the
@@ -93,25 +97,67 @@ class Cotree:
     place that renumbers them, and every walker (the solver's fold,
     :func:`materialize`, :func:`verify_on_tree`) iterates its result in
     index order.
+
+    In such an arena the kinds alone fix the shape, so a postordered tree
+    may be built with ``b`` None and -1 in ``a`` at every internal node, as
+    :func:`parse_cotree` builds it.  The first read of ``a`` or ``b`` then
+    derives the child indices; the solve and :func:`verify_on_tree` never
+    read them, and use :meth:`leaf_labels` and the kinds instead.
     """
 
-    __slots__ = ("kind", "a", "b", "root", "leaf_count", "postordered")
+    __slots__ = ("kind", "_a", "_b", "root", "leaf_count", "postordered")
 
     def __init__(
         self,
         kind: list[int],
         a: list[int],
-        b: list[int],
+        b: Optional[list[int]],
         root: int,
         leaf_count: int,
         postordered: bool = False,
     ) -> None:
+        if b is None and not postordered:
+            raise ValueError("an arena without child arrays must be postordered")
         self.kind = kind
-        self.a = a
-        self.b = b
+        self._a = a
+        self._b = b
         self.root = root
         self.leaf_count = leaf_count
         self.postordered = postordered
+
+    @property
+    def a(self) -> list[int]:
+        if self._b is None:
+            self._derive()
+        return self._a
+
+    @property
+    def b(self) -> list[int]:
+        if self._b is None:
+            self._derive()
+        return self._b  # type: ignore[return-value]
+
+    def _derive(self) -> None:
+        """Fill ``a``'s internal entries and build ``b``: one stack pass over
+        the kinds.  In left-first postorder a node's right child is the node
+        just before it, and its left child is the subtree finished before
+        that one."""
+        a = self._a
+        b = [-1] * len(a)
+        done: list[int] = []  # roots of finished subtrees awaiting a parent
+        push, pop = done.append, done.pop
+        for i, k in enumerate(self.kind):
+            if k != LEAF:
+                pop()
+                a[i] = pop()
+                b[i] = i - 1
+            push(i)
+        self._b = b
+
+    def leaf_labels(self) -> list[int]:
+        """The leaf labels in index order (left to right when postordered),
+        read off ``a`` without deriving any child index."""
+        return list(compress(self._a, map(not_, self.kind)))
 
     def postorder(self) -> list[int]:
         """Node indices, children before parents, left subtree first."""
@@ -185,23 +231,22 @@ def parse_cotree(text: str) -> Cotree:
 
     Leaf labels are runs of ASCII digits and must be exactly ``0..n-1``
     with no repeats, where ``n`` is the number of leaves.  Errors report a
-    character position.
+    character position.  The tree stores its kinds and leaf labels only;
+    its child indices are derived on the first read of ``a`` or ``b``.
     """
     kind: list[int] = []
     arena_a: list[int] = []
-    arena_b: list[int] = []
-    add_kind, add_a, add_b = kind.append, arena_a.append, arena_b.append
-    # The open frame is (op, left operand so far, operand count), held in
-    # locals; enclosing frames wait on ``stack``.  The top level is the frame
-    # whose op is None, and the parse ends once it holds one operand.
-    # Children are folded in as they complete, so "(+ A B C)" stores A, B,
-    # (A+B), C, ((A+B)+C): the arena comes out in left-first postorder.
-    stack: list[tuple[Optional[int], int, int]] = []
+    add_kind, add_a = kind.append, arena_a.append
+    # The open frame is (op, operand count), held in locals; enclosing frames
+    # wait on ``stack``.  The top level is the frame whose op is None, and
+    # the parse ends once it holds one operand.  Children are folded in as
+    # they complete, so "(+ A B C)" stores A, B, (A+B), C, ((A+B)+C): the
+    # arena comes out in left-first postorder, which fixes every child index,
+    # so none is stored (see :class:`Cotree`).
+    stack: list[tuple[Optional[int], int]] = []
     push, pop = stack.append, stack.pop
     op: Optional[int] = None
-    left = -1
     count = 0
-    nodes = 0
     findall = _TOKEN.findall
     length = len(text)
     end = 0
@@ -224,16 +269,12 @@ def parse_cotree(text: str) -> Cotree:
                         else "internal node needs at least two subtrees",
                         _token_offset(text, pos, end, len(tokens) - length_hint(it) - 1),
                     )
-                node = left
-                op, left, count = pop()
+                op, count = pop()
             elif "0" <= tok < ":":  # a label (':' follows '9')
-                node = nodes
-                nodes += 1
                 add_kind(LEAF)
                 add_a(int(tok))
-                add_b(-1)
             elif len(tok) > 1:
-                push((op, left, count))
+                push((op, count))
                 op = UNION if tok[-1] == "+" else JOIN
                 count = 0
                 continue
@@ -247,13 +288,9 @@ def parse_cotree(text: str) -> Cotree:
                 )
             if count:
                 add_kind(op)  # type: ignore[arg-type]
-                add_a(left)
-                add_b(node)
-                left = nodes
-                nodes += 1
+                add_a(-1)
                 count += 1
             else:
-                left = node
                 count = 1
                 if op is None:
                     break
@@ -265,18 +302,18 @@ def parse_cotree(text: str) -> Cotree:
     if trailing:
         raise CotreeParseError("trailing input after complete tree", trailing.start())
 
+    nodes = len(kind)
     n = (nodes + 1) >> 1
     seen = bytearray(n)
-    for k, label in zip(kind, arena_a):
-        if k == LEAF:
-            if label >= n or seen[label]:
-                raise CotreeParseError(
-                    f"leaf labels must be exactly 0..{n - 1} with no repeats; "
-                    f"offending label {label}",
-                    _offending_leaf_offset(text, n),
-                )
-            seen[label] = 1
-    return Cotree(kind, arena_a, arena_b, left, n, postordered=True)
+    for label in compress(arena_a, map(not_, kind)):
+        if label >= n or seen[label]:
+            raise CotreeParseError(
+                f"leaf labels must be exactly 0..{n - 1} with no repeats; "
+                f"offending label {label}",
+                _offending_leaf_offset(text, n),
+            )
+        seen[label] = 1
+    return Cotree(kind, arena_a, None, nodes - 1, n, postordered=True)
 
 
 # The error paths below rescan the text, so the parse itself records no
@@ -407,15 +444,15 @@ def verify_on_tree(
 def _lca_is_join(tree: Cotree, pairs: list[tuple[int, int]]) -> list[bool]:
     """Whether each pair of distinct leaves has a join node as its LCA.
 
-    ``tree`` is postordered.  Tarjan's offline LCA with union-find over the
-    arena in index order: a finished node is linked to its parent when the
-    parent finishes.  A pair is answered at whichever of its leaves finishes
-    second: the set root of the earlier leaf is then its highest finished
-    ancestor, whose parent -- unfinished, so also an ancestor of the current
-    leaf -- is the LCA.
+    ``tree`` is postordered, so at index ``i`` the nodes below ``i`` are
+    finished and the ancestors of node ``i`` are unfinished.  Tarjan's
+    offline LCA over the arena in index order: a pair is answered at
+    whichever of its leaves comes second, and the LCA is then the lowest
+    unfinished ancestor of the earlier leaf.  ``up`` starts as the parent
+    array and is path-compressed; every entry stays an ancestor, so the
+    walk up to the first node past ``i`` finds it.
     """
-    kind, a, b = tree.kind, tree.a, tree.b
-    nodes = len(kind)
+    kind, labels = tree.kind, tree._a  # labels are read at leaves only
     # Each pair is queued at both of its leaves: entry 2j at pairs[j][0],
     # entry 2j + 1 at pairs[j][1], linked per vertex through ``after``.
     first = [-1] * tree.leaf_count
@@ -427,32 +464,32 @@ def _lca_is_join(tree: Cotree, pairs: list[tuple[int, int]]) -> list[bool]:
         after[entry + 1] = first[v]
         first[v] = entry + 1
         entry += 2
-    # Both walks take the node ids from ``link`` rather than allocating
-    # them again: a node is linked only when its parent finishes, so link[i]
-    # is still i when the walk reaches index i.
-    link = list(range(nodes))
-    parent = [-1] * nodes
-    for i in link:
-        if kind[i] != LEAF:
-            parent[a[i]] = parent[b[i]] = i
+    # Parents from one stack pass over the kinds: an internal node takes the
+    # two subtrees finished last.
+    up = [-1] * len(kind)
+    done: list[int] = []
+    push, pop = done.append, done.pop
+    for i, k in enumerate(kind):
+        if k != LEAF:
+            up[pop()] = up[pop()] = i
+        push(i)
     leaf_node = [-1] * tree.leaf_count  # set once the leaf is finished
     answers = [False] * len(pairs)
-    for i in link:
-        if kind[i] != LEAF:
-            link[a[i]] = link[b[i]] = i
+    for i, k in enumerate(kind):
+        if k != LEAF:
             continue
-        x = a[i]
+        x = labels[i]
         leaf_node[x] = i
         entry = first[x]
         while entry >= 0:
             node = leaf_node[pairs[entry >> 1][~entry & 1]]
             if node >= 0:
-                root = node
-                while link[root] != root:
-                    root = link[root]
-                while link[node] != root:
-                    link[node], node = root, link[node]
-                answers[entry >> 1] = kind[parent[root]] == JOIN
+                root = up[node]
+                while root < i:
+                    root = up[root]
+                while up[node] != root:
+                    up[node], node = root, up[node]
+                answers[entry >> 1] = kind[root] == JOIN
             entry = after[entry]
     return answers
 
@@ -463,23 +500,36 @@ def _dominates(tree: Cotree, mark: bytearray) -> bool:
     ``tree`` is postordered.  Bottom-up, count the marked leaves under each
     node; then top-down, a child sees a mark when its parent does or its
     parent is a join whose other child holds one.  An unmarked leaf that
-    sees no mark is undominated.
+    sees no mark is undominated.  Both walks are stack passes over the
+    kinds: a node's right child is the node just before it, and its left
+    child holds the rest of its count.
     """
-    kind, a, b = tree.kind, tree.a, tree.b
+    kind, labels = tree.kind, tree._a  # labels are read at leaves only
     below: list[int] = []
     count = below.append
-    for k, x, y in zip(kind, a, b):
-        count(mark[x] if k == LEAF else below[x] + below[y])
-    sees = bytearray(len(kind))
+    done: list[int] = []  # counts of the finished subtrees awaiting a parent
+    push, pop = done.append, done.pop
+    for k, x in zip(kind, labels):
+        c = mark[x] if k == LEAF else pop() + pop()
+        push(c)
+        count(c)
+    # Top-down in reverse index order: the root, its right subtree, then its
+    # left one.  ``pending`` holds what each subtree root yet to visit sees.
+    pending = [0]
+    push, pop = pending.append, pending.pop
     for i in range(len(kind) - 1, -1, -1):
-        if kind[i] == LEAF:
-            if not (mark[a[i]] or sees[i]):
+        sees = pop()
+        k = kind[i]
+        if k == LEAF:
+            if not (sees or mark[labels[i]]):
                 return False
-        elif kind[i] == JOIN:
-            sees[a[i]] = sees[i] or below[b[i]] > 0
-            sees[b[i]] = sees[i] or below[a[i]] > 0
+        elif k == JOIN:
+            right = below[i - 1]
+            push(sees or right > 0)
+            push(sees or below[i] > right)
         else:
-            sees[a[i]] = sees[b[i]] = sees[i]
+            push(sees)
+            push(sees)
     return True
 
 

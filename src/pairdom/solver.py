@@ -23,18 +23,17 @@ All pair sequences and vertex pools are singly-linked chains threaded through
 per-solve arenas, so concatenation and popping are O(1) and a union combine
 costs constant time regardless of subtree size.  Summaries are flat mutable
 records (plain lists) owned by their :class:`SolveContext`; inspect them with
-:meth:`SolveContext.snapshot`.  Combines consume their inputs.
+:meth:`SolveContext.snapshot` (see :mod:`pairdom.diagnostics`).  Combines
+consume their inputs.
 """
 
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import not_
-from typing import Iterable, Optional
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterable
 
-from .cotree import Cotree, LEAF, UNION, _in_postorder
+from .cotree import Cotree, JOIN, LEAF, UNION, _in_postorder
 from .graphs import (
     EdgeClass,
     MPDSolution,
@@ -43,11 +42,13 @@ from .graphs import (
     RestrictedSet,
 )
 
+if TYPE_CHECKING:
+    from .diagnostics import SummaryView
+
 __all__ = [
     "NodeSummary",
     "SolveContext",
     "SolverInternalError",
-    "SummaryView",
     "solve",
 ]
 
@@ -79,27 +80,6 @@ NodeSummary = list
 
 class SolverInternalError(RuntimeError):
     """A combine violated one of its counting guards; indicates a bug."""
-
-
-@dataclass(frozen=True)
-class SummaryView:
-    """Readable snapshot of a node summary (testing and diagnostics)."""
-
-    vertex_count: int
-    restricted_count: int
-    k: int
-    s: int
-    f: int
-    full_pairs: tuple[tuple[int, int], ...]
-    semi_pairs: tuple[tuple[int, int], ...]
-    free_pairs: tuple[tuple[int, int], ...]
-    unmatched_restricted: tuple[int, ...]
-    unmatched_free: tuple[int, ...]
-    isolated_count: int
-    rf_witness: Optional[tuple[int, int]]
-    exemplar_restricted: Optional[int]
-    exemplar_free: Optional[int]
-    case: str
 
 
 class SolveContext:
@@ -1005,65 +985,18 @@ class SolveContext:
             pid = pn[pid]
         return us, vs
 
-    # The walkers report labels.
-
-    def _walk_pool(self, head: int) -> list[int]:
-        # Claimed vertices were consumed out of turn; a vertex sits in at
-        # most one pool position, so membership is simply claimed[v] == 0.
-        out = []
-        nxt, claimed, lab = self.nxt, self.claimed, self.labels
-        v = head
-        while v >= 0:
-            if not claimed[v]:
-                out.append(lab[v])
-            v = nxt[v]
-        return out
-
-    def _walk_pairs(self, head: int) -> tuple[tuple[int, int], ...]:
-        lab = self.labels
-        us, vs = self._pair_ends(head)
-        return tuple((lab[u], lab[v]) for u, v in zip(us, vs))
+    # Inspection lives in ``pairdom.diagnostics``, which no CLI command
+    # imports.
 
     def snapshot(self, summ: NodeSummary) -> SummaryView:
         """Non-destructive readable view of a summary record."""
-        return SummaryView(
-            vertex_count=summ[_NV],
-            restricted_count=summ[_NR],
-            k=summ[_KC],
-            s=summ[_SC],
-            f=summ[_FC],
-            full_pairs=self._walk_pairs(summ[_KH]),
-            semi_pairs=self._walk_pairs(summ[_SH]),
-            free_pairs=self._walk_pairs(summ[_FH]),
-            unmatched_restricted=tuple(self._walk_pool(summ[_RH])),
-            unmatched_free=tuple(self._walk_pool(summ[_UH])),
-            isolated_count=summ[_IC],
-            rf_witness=(
-                (self.labels[summ[_WR]], self.labels[summ[_WF]]) if summ[_WR] >= 0 else None
-            ),
-            exemplar_restricted=summ[_XR] if summ[_XR] >= 0 else None,
-            exemplar_free=summ[_XF] if summ[_XF] >= 0 else None,
-            case=summ[_CASE],
-        )
+        from .diagnostics import snapshot
+        return snapshot(self, summ)
 
     def check_invariants(self, summ: NodeSummary) -> None:
         """Verify the counting identities of a summary (test support)."""
-        view = self.snapshot(summ)
-        k, s, f = view.k, view.s, view.f
-        if (len(view.full_pairs), len(view.semi_pairs), len(view.free_pairs)) != (k, s, f):
-            raise AssertionError("pair chain lengths disagree with counts")
-        ur = len(view.unmatched_restricted)
-        uf = len(view.unmatched_free)
-        if view.restricted_count != 2 * k + s + ur:
-            raise AssertionError("restricted count identity violated")
-        if view.vertex_count != 2 * (k + s + f) + ur + uf:
-            raise AssertionError("vertex count identity violated")
-        if view.isolated_count > ur + uf:
-            raise AssertionError("more isolated vertices than unmatched ones")
-        flags = self.restricted.flags
-        for u, v in view.semi_pairs:
-            if not (flags[u] and not flags[v]):
-                raise AssertionError("semi pair endpoint order violated")
+        from .diagnostics import check_invariants
+        check_invariants(self, summ)
 
     # -- driver ---------------------------------------------------------------
 
@@ -1081,7 +1014,7 @@ class SolveContext:
         # with locality.  Labels only matter for tie-breaks and the output.
         tree = _in_postorder(tree)
         kind = tree.kind
-        self.labels = list(compress(tree.a, map(not_, kind)))
+        self.labels = tree.leaf_labels()
         del tree  # a renumbered copy's child arrays are not needed below
         next_id = iter(list(range(self.n))).__next__
         # Leaves ride the value stack as bare vertex ids; a combine whose
@@ -1166,17 +1099,23 @@ def solve(tree: Cotree, restricted: RestrictedSet | Iterable[int]) -> MPDSolutio
 
 def _isolated_labels(tree: Cotree) -> list[int]:
     """Sorted labels of the isolated vertices: the leaves with no join
-    ancestor, reached from the root through union nodes only."""
-    kind, a, b = tree.kind, tree.a, tree.b
-    out = []
-    stack = [tree.root]
-    while stack:
-        i = stack.pop()
-        k = kind[i]
+    ancestor.  A join root has none.  Otherwise one pass over the kinds of
+    the postordered arena keeps, per finished subtree, the labels of its
+    leaves with no join ancestor so far: a union keeps both runs, a join
+    drops them."""
+    if tree.kind[tree.root] == JOIN:
+        return []
+    tree = _in_postorder(tree)
+    out: list[int] = []
+    starts: list[int] = []  # where each finished subtree's run begins in out
+    label = iter(tree.leaf_labels()).__next__
+    for k in tree.kind:
         if k == LEAF:
-            out.append(a[i])
-        elif k == UNION:
-            stack.append(a[i])
-            stack.append(b[i])
+            starts.append(len(out))
+            out.append(label())
+        else:
+            starts.pop()
+            if k == JOIN:
+                del out[starts[-1]:]
     out.sort()
     return out

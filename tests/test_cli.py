@@ -428,6 +428,33 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
 
+    def test_solve_does_not_import_the_diagnostics(self, tmp_path):
+        ct = write(tmp_path, "k2.ct", "(* 0 1)\n")
+        out = tmp_path / "k2.sol"
+        script = (
+            "import sys\n"
+            "from pairdom.cli import main\n"
+            f"code = main(['solve', '--cotree', {ct!r}, '--restricted', '0,1',"
+            f" '--output', {str(out)!r}])\n"
+            "print(code, sorted({'pairdom.solver', 'pairdom.diagnostics'} & set(sys.modules)))\n"
+        )
+        src = str(Path(pairdom.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 ['pairdom.solver']"
+        assert out.read_text() == "beta 2\nkfs 1 0 0\npair 0 1 full\n"
+
+    def test_summary_view_loads_from_the_package(self):
+        from pairdom.diagnostics import SummaryView
+
+        assert pairdom.SummaryView is SummaryView
+
     def test_star_import_binds_every_public_name(self):
         namespace = {}
         exec("from pairdom import *", namespace)

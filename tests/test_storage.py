@@ -1,0 +1,141 @@
+"""Storage of a parsed cotree: kinds and leaf labels, child arrays on demand.
+
+``parse_cotree`` stores ``kind`` and, in ``a``, the leaf labels (-1 at every
+internal node); the first read of ``a`` or ``b`` derives the child indices.
+The solve, the isolated-vertex check and ``verify_on_tree`` must never take
+that pass, relabelling through ``tree.a`` must still reach the fold, and the
+derived arrays must equal the ones the eager builders store.
+"""
+
+from __future__ import annotations
+
+import random
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pairdom import (
+    Cotree,
+    NoSolutionError,
+    materialize,
+    parse_cotree,
+    random_cotree,
+    random_restricted,
+    serialize_cotree,
+    solve,
+    verify_on_tree,
+)
+from pairdom.cli import format_solution
+from pairdom.cotree import JOIN, LEAF, UNION
+from pairdom.solver import _isolated_labels
+
+
+def refuse(self):
+    raise AssertionError("child arrays derived")
+
+
+@pytest.fixture
+def no_derive(monkeypatch):
+    monkeypatch.setattr(Cotree, "_derive", refuse)
+
+
+def relabelled(tree: Cotree, seed: int) -> Cotree:
+    labels = list(range(tree.leaf_count))
+    random.Random(seed).shuffle(labels)
+    a = tree.a
+    for i, k in enumerate(tree.kind):
+        if k == LEAF:
+            a[i] = labels[a[i]]
+    return tree
+
+
+class TestParsedArena:
+    def test_stores_kinds_and_labels_only(self):
+        tree = parse_cotree("(* (+ 2 0) 1)")
+        assert tree.kind == [LEAF, LEAF, UNION, LEAF, JOIN]
+        assert tree._a == [2, 0, -1, 1, -1]
+        assert tree._b is None
+        assert tree.leaf_labels() == [2, 0, 1]
+        assert (tree.a, tree.b) == ([2, 0, 0, 1, 2], [-1, -1, 1, -1, 3])
+        tree.validate()
+
+    @pytest.mark.parametrize("bias", [0.0, 0.5, 1.0])
+    def test_derived_arrays_equal_the_generators(self, bias):
+        for seed in range(40):
+            eager = random_cotree(random.Random(seed).randint(1, 300), bias, seed)
+            tree = parse_cotree(serialize_cotree(eager))
+            assert tree.leaf_labels() == eager.leaf_labels()
+            assert (tree.kind, tree.a, tree.b, tree.root) == (
+                eager.kind, eager.a, eager.b, eager.root)
+
+    def test_unordered_arena_needs_child_arrays(self):
+        with pytest.raises(ValueError, match="must be postordered"):
+            Cotree([LEAF], [0], None, 0, 1)
+
+
+class TestNoDerivePass:
+    def test_join_rooted_solve_and_verify(self, no_derive):
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(2, 400)
+            eager = random_cotree(n, rng.choice([0.2, 0.5, 0.8]), seed)
+            eager.kind[eager.root] = JOIN
+            restricted = random_restricted(n, rng.choice([0.0, 0.4, 1.0]), seed + 1)
+            tree = parse_cotree(serialize_cotree(eager))
+            solution = solve(tree, restricted)
+            assert format_solution(solution) == format_solution(solve(eager, restricted))
+            pairs = [(p.u, p.v) for p in solution.pairs]
+            report = verify_on_tree(tree, restricted, pairs)
+            assert report.valid
+            assert report == verify_on_tree(eager, restricted, pairs)
+            assert tree._b is None
+
+    def test_union_root_names_the_isolated_vertices(self, no_derive):
+        # A join over 0..5, then the isolated leaves 9, 6 and 8 and one more
+        # join over 7 and 10.
+        text = "(+ (* (+ 0 1) (* 2 (+ 3 (+ 4 5)))) 9 (+ 6 8) (* 7 10))"
+        tree = parse_cotree(text)
+        assert _isolated_labels(tree) == [6, 8, 9]
+        with pytest.raises(NoSolutionError) as err:
+            solve(tree, [0, 6, 7])
+        assert err.value.isolated == (6, 8, 9)
+        assert str(err.value) == "no solution: the graph has isolated vertices 6 8 9"
+        assert tree._b is None
+
+    @given(st.integers(2, 60), st.floats(0, 1), st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_union_root_matches_the_eager_tree(self, n, bias, seed):
+        eager = random_cotree(n, bias, seed)
+        eager.kind[eager.root] = UNION
+        tree = parse_cotree(serialize_cotree(eager))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Cotree, "_derive", refuse)
+            got = _isolated_labels(tree)
+        assert got == materialize(eager).isolated_vertices()
+
+
+@given(st.integers(2, 60), st.floats(0, 1), st.integers(0, 10_000), st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_relabelling_through_a_reaches_the_fold(n, bias, seed, label_seed):
+    eager = random_cotree(n, bias, seed)
+    eager.kind[eager.root] = JOIN
+    text = serialize_cotree(eager)
+    restricted = random_restricted(n, random.Random(seed).random(), seed + 1)
+    parsed = relabelled(parse_cotree(text), label_seed)
+    want = format_solution(solve(relabelled(eager, label_seed), restricted))
+    assert format_solution(solve(parsed, restricted)) == want
+
+
+def test_parsed_tree_holds_at_most_80_bytes_per_leaf():
+    n = 1 << 16
+    text = serialize_cotree(random_cotree(n, 0.5, 0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = parse_cotree(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tree.leaf_count == n
+    assert held <= 80 * n, f"{held / n:.1f} bytes per leaf"
