@@ -47,10 +47,9 @@ __all__ = [
     "is_induced_p4",
 ]
 
-# Node kinds.  ``a`` is the only store of the leaf labels: a leaf holds its
-# vertex id there.  An internal node holds its child node indices in ``a``
-# (left) and ``b`` (right); a parsed tree stores -1 in ``a`` instead and no
-# ``b``, and derives both on first read (see :class:`Cotree`).
+# Node kinds.  ``a`` is the only store of the leaf labels; a builder stores
+# -1 in ``a`` at internal nodes and no ``b``, as the kinds in postorder fix
+# every child index (see :class:`Cotree`).
 LEAF = 0
 UNION = 1
 JOIN = 2
@@ -88,24 +87,18 @@ class Cotree:
     ``a[i]`` at a leaf relabels it for every reader.  Instances are
     otherwise immutable by convention after construction.
 
-    ``postordered`` declares that the arena is stored in left-first postorder:
-    every subtree occupies a contiguous index range ending at its root, the
-    left subtree's range first, so the root is the last node.  The builders
-    in this module (:func:`parse_cotree`, :func:`random_cotree`,
-    :func:`recognize`) store arenas that way and set it.  Arenas built by
-    hand in any other order leave it False; ``_in_postorder`` is the one
-    place that renumbers them, and every walker (the solver's fold,
-    :func:`materialize`, :func:`verify_on_tree`) iterates its result in
-    index order.
-
-    In such an arena the kinds alone fix the shape, so a postordered tree
-    may be built with ``b`` None and -1 in ``a`` at every internal node, as
-    :func:`parse_cotree` builds it.  The first read of ``a`` or ``b`` then
-    derives the child indices; the solve and :func:`verify_on_tree` never
-    read them, and use :meth:`leaf_labels` and the kinds instead.
+    Every builder in this module stores the postfix form, and such a tree is
+    :attr:`postordered`: ``kind`` in left-first postorder (each subtree a
+    contiguous index range ending at its root, the left one first, so the
+    root is last), -1 in ``a`` at every internal node, and ``b`` None.  The
+    kinds fix the shape, so the first read of ``a`` or ``b`` derives the
+    child indices; no walker in the package reads them, all read
+    :meth:`leaf_labels` and the kinds instead.  An arena built by hand with
+    both child arrays may be in any order; ``_in_postorder`` copies it into
+    the postfix form.
     """
 
-    __slots__ = ("kind", "_a", "_b", "root", "leaf_count", "postordered")
+    __slots__ = ("kind", "_a", "_b", "root", "leaf_count", "_postordered")
 
     def __init__(
         self,
@@ -114,16 +107,19 @@ class Cotree:
         b: Optional[list[int]],
         root: int,
         leaf_count: int,
-        postordered: bool = False,
     ) -> None:
-        if b is None and not postordered:
-            raise ValueError("an arena without child arrays must be postordered")
         self.kind = kind
         self._a = a
         self._b = b
         self.root = root
         self.leaf_count = leaf_count
-        self.postordered = postordered
+        self._postordered = b is None
+
+    @property
+    def postordered(self) -> bool:
+        """Whether the tree was built in the postfix form (without child
+        arrays); deriving ``a`` and ``b`` does not change it."""
+        return self._postordered
 
     @property
     def a(self) -> list[int]:
@@ -169,23 +165,31 @@ class Cotree:
         out: list[int] = []
         stack = [self.root]
         kind, a, b = self.kind, self.a, self.b
+        push, pop, emit = stack.append, stack.pop, out.append
         while stack:
-            i = stack.pop()
-            out.append(i)
+            i = pop()
+            emit(i)
             if kind[i] != LEAF:
-                stack.append(a[i])
-                stack.append(b[i])
+                push(a[i])
+                push(b[i])
         out.reverse()
         return out
 
     def validate(self) -> None:
         """Check structural invariants; raises ``ValueError`` on violation."""
+        if self.postordered:
+            # In a postfix each internal node takes two finished subtrees.
+            depth = 0
+            for k in self.kind:
+                depth += 1 if k == LEAF else -1
+                if depth < 1:
+                    break
+            if depth != 1 or self.root != len(self.kind) - 1:
+                raise ValueError("kinds are not a left-first postorder rooted at the end")
         seen_parent = [0] * len(self.kind)
         leaves = []
         reached = 0
         order = self._traverse()
-        if self.postordered and order != list(range(len(self.kind))):
-            raise ValueError("arena is marked postordered but is not")
         for i in order:
             reached += 1
             if self.kind[i] == LEAF:
@@ -231,8 +235,7 @@ def parse_cotree(text: str) -> Cotree:
 
     Leaf labels are runs of ASCII digits and must be exactly ``0..n-1``
     with no repeats, where ``n`` is the number of leaves.  Errors report a
-    character position.  The tree stores its kinds and leaf labels only;
-    its child indices are derived on the first read of ``a`` or ``b``.
+    character position.
     """
     kind: list[int] = []
     arena_a: list[int] = []
@@ -241,8 +244,7 @@ def parse_cotree(text: str) -> Cotree:
     # wait on ``stack``.  The top level is the frame whose op is None, and
     # the parse ends once it holds one operand.  Children are folded in as
     # they complete, so "(+ A B C)" stores A, B, (A+B), C, ((A+B)+C): the
-    # arena comes out in left-first postorder, which fixes every child index,
-    # so none is stored (see :class:`Cotree`).
+    # arena comes out in left-first postorder.
     stack: list[tuple[Optional[int], int]] = []
     push, pop = stack.append, stack.pop
     op: Optional[int] = None
@@ -313,7 +315,7 @@ def parse_cotree(text: str) -> Cotree:
                 _offending_leaf_offset(text, n),
             )
         seen[label] = 1
-    return Cotree(kind, arena_a, None, nodes - 1, n, postordered=True)
+    return Cotree(kind, arena_a, None, nodes - 1, n)
 
 
 # The error paths below rescan the text, so the parse itself records no
@@ -353,22 +355,30 @@ def _offending_leaf_offset(text: str, n: int) -> int:
 
 def serialize_cotree(tree: Cotree) -> str:
     """Binary s-expression text; ``parse_cotree`` round-trips it exactly."""
-    kind, a, b = tree.kind, tree.a, tree.b
-    parts: list[str] = []
-    # Stack of either node indices (to expand) or literal tokens.
-    stack: list[object] = [tree.root]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-            continue
-        i = item  # type: ignore[assignment]
-        if kind[i] == LEAF:
-            parts.append(str(a[i]))
+    tree = _in_postorder(tree)
+    # The postfix read backwards is a node, its right subtree, then its left
+    # one: the text's tokens in reverse.  ``pending`` holds each open node's
+    # opening token and, while its right subtree is open, the space before
+    # it; a finished subtree releases tokens up to and including a space.
+    out: list[str] = []
+    emit = out.append
+    pending = [" "]  # the whole tree's, dropped at the end
+    push, pop = pending.append, pending.pop
+    for k, x in zip(reversed(tree.kind), reversed(tree._a)):
+        if k == LEAF:
+            emit(str(x))
+            tok = pop()
+            while tok != " ":
+                emit(tok)
+                tok = pop()
+            emit(tok)
         else:
-            op = "+" if kind[i] == UNION else "*"
-            stack.extend([")", b[i], " ", a[i], f"({op} "])
-    return "".join(parts)
+            emit(")")
+            push("(+ " if k == UNION else "(* ")
+            push(" ")
+    out.pop()
+    out.reverse()
+    return "".join(out)
 
 
 def materialize(tree: Cotree, edge_cap: int = DEFAULT_EDGE_CAP) -> Graph:
@@ -381,40 +391,40 @@ def materialize(tree: Cotree, edge_cap: int = DEFAULT_EDGE_CAP) -> Graph:
     """
     tree = _in_postorder(tree)
     n = tree.leaf_count
-    kind, a, b = tree.kind, tree.a, tree.b
+    leaf_order = tree.leaf_labels()
 
     # Left-to-right leaf order puts every subtree's leaves in a contiguous
     # range, so each join is a cross product of two slices, and its side
-    # sizes are the lengths of those ranges.
+    # sizes are the lengths of those ranges.  A join's right range starts
+    # where the subtree finished last starts, its left range where the one
+    # before that starts, and both end at the leaves seen so far.
     m = 0
-    leaf_order: list[int] = []
-    lo = [0] * len(kind)
-    hi = [0] * len(kind)
-    for i in range(len(kind)):
-        if kind[i] == LEAF:
-            lo[i] = len(leaf_order)
-            leaf_order.append(a[i])
-            hi[i] = len(leaf_order)
+    joins: list[tuple[int, int, int]] = []
+    starts: list[int] = []  # range starts of finished subtrees awaiting a parent
+    seen = 0
+    for k in tree.kind:
+        if k == LEAF:
+            starts.append(seen)
+            seen += 1
         else:
-            l, r = a[i], b[i]
-            lo[i] = lo[l]
-            hi[i] = hi[r]
-            if kind[i] == JOIN:
-                m += (hi[l] - lo[l]) * (hi[r] - lo[r])
+            mid = starts.pop()
+            if k == JOIN:
+                lo = starts[-1]
+                m += (mid - lo) * (seen - mid)
                 if m > edge_cap:
                     raise EdgeCapExceeded(
                         f"materialization needs more than {edge_cap} edges"
                     )
+                joins.append((lo, mid, seen))
 
     adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(len(kind)):
-        if kind[i] == JOIN:
-            left = leaf_order[lo[a[i]] : hi[a[i]]]
-            right = leaf_order[lo[b[i]] : hi[b[i]]]
-            for u in left:
-                adj[u].extend(right)
-            for v in right:
-                adj[v].extend(left)
+    for lo, mid, hi in joins:
+        left = leaf_order[lo:mid]
+        right = leaf_order[mid:hi]
+        for u in left:
+            adj[u].extend(right)
+        for v in right:
+            adj[v].extend(left)
     for row in adj:
         row.sort()
     return Graph(n, adj, m)
@@ -706,23 +716,20 @@ def recognize(graph: Graph) -> Union[Cotree, P4Witness]:
 
 
 def _in_postorder(tree: Cotree) -> Cotree:
-    """The tree with its arena in left-first postorder: ``tree`` itself when
-    it is already stored that way, else a renumbered copy (the caller's
-    arena is left as it is).  The package's only renumbering."""
+    """The tree in the postfix form: ``tree`` itself when it was built that
+    way, else a copy of its kinds and leaf labels in left-first postorder
+    (the caller's arena is left as it is).  The package's only reader of
+    child arrays, and only of a hand-built arena's."""
     if tree.postordered:
         return tree
-    kind, a, b = tree.kind, tree.a, tree.b
+    kind, a = tree.kind, tree.a
     order = tree._traverse()
-    rank = [0] * len(order)
-    for j, i in enumerate(order):
-        rank[i] = j
     return Cotree(
         [kind[i] for i in order],
-        [a[i] if kind[i] == LEAF else rank[a[i]] for i in order],
-        [-1 if kind[i] == LEAF else rank[b[i]] for i in order],
+        [a[i] if kind[i] == LEAF else -1 for i in order],
+        None,
         len(order) - 1,
         tree.leaf_count,
-        postordered=True,
     )
 
 
@@ -748,18 +755,15 @@ def random_cotree(n: int, join_bias: float, seed: int) -> Cotree:
 
     kind: list[int] = []
     arena_a: list[int] = []
-    arena_b: list[int] = []
 
     # Depth-first, left child first: the draws happen in preorder, so the
     # sequence is reproducible and leaf labels are consumed left to right,
     # while a node is stored only once its subtree is, so the arena comes
     # out in left-first postorder.  A pending internal node waits on the
-    # stack as a negative entry packing its operation with its right
-    # subtree's leaf count r; that subtree's 2r - 1 nodes end just before
-    # the node, and the left child's root sits just before them.
+    # stack as its negated operation.
     stack = [n]
     pop, push = stack.pop, stack.append
-    add_kind, add_a, add_b = kind.append, arena_a.append, arena_b.append
+    add_kind, add_a = kind.append, arena_a.append
     next_label = iter(labels).__next__
     randint, draw = rng.randint, rng.random
     while stack:
@@ -767,19 +771,15 @@ def random_cotree(n: int, join_bias: float, seed: int) -> Cotree:
         if size == 1:
             add_kind(LEAF)
             add_a(next_label())
-            add_b(-1)
         elif size > 1:
             split = randint(1, size - 1)
-            push(-((size - split) << 2 | (JOIN if draw() < join_bias else UNION)))
+            push(-(JOIN if draw() < join_bias else UNION))
             push(size - split)
             push(split)
         else:
-            size = -size
-            node = len(kind)
-            add_kind(size & 3)
-            add_a(node - (size >> 2 << 1))
-            add_b(node - 1)
-    return Cotree(kind, arena_a, arena_b, len(kind) - 1, n, postordered=True)
+            add_kind(-size)
+            add_a(-1)
+    return Cotree(kind, arena_a, None, len(kind) - 1, n)
 
 
 def random_restricted(n: int, density: float, seed: int) -> RestrictedSet:

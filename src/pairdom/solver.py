@@ -1015,7 +1015,7 @@ class SolveContext:
         tree = _in_postorder(tree)
         kind = tree.kind
         self.labels = tree.leaf_labels()
-        del tree  # a renumbered copy's child arrays are not needed below
+        del tree  # a renumbered copy's labels are not needed below
         next_id = iter(list(range(self.n))).__next__
         # Leaves ride the value stack as bare vertex ids; a combine whose
         # operand is an int routes through the specialized tiny builders

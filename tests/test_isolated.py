@@ -79,20 +79,12 @@ def join_tree_with_three_leaves(size: int, isolated: tuple[int, int, int]) -> Co
     sub.kind[sub.root] = JOIN
     labels = sorted(set(range(size + 3)) - set(isolated))
     random.Random(4).shuffle(labels)
-    kind, a, b = list(sub.kind), list(sub.a), list(sub.b)
-    for i, k in enumerate(kind):
-        if k == LEAF:
-            a[i] = labels[a[i]]
-    top = sub.root
+    kind = list(sub.kind)
+    a = [labels[x] if k == LEAF else -1 for k, x in zip(kind, sub.a)]
     for label in isolated:
-        kind.append(LEAF)
-        a.append(label)
-        b.append(-1)
-        kind.append(UNION)
-        a.append(top)
-        b.append(len(kind) - 2)
-        top = len(kind) - 1
-    return Cotree(kind, a, b, top, size + 3, postordered=True)
+        kind += (LEAF, UNION)
+        a += (label, -1)
+    return Cotree(kind, a, None, len(kind) - 1, size + 3)
 
 
 class TestAtScale:

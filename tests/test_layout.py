@@ -121,10 +121,16 @@ class TestBuildersStorePostorder:
         tree = Cotree([LEAF, LEAF, JOIN], [0, 1, 0], [-1, -1, 1], 2, 2)
         assert not tree.postordered
 
-    def test_false_postorder_claim_is_rejected(self):
-        tree = Cotree([JOIN, LEAF, LEAF], [1, 0, 1], [2, -1, -1], 0, 2, postordered=True)
-        with pytest.raises(ValueError, match="postordered"):
-            tree.validate()
+    def test_arena_not_in_postorder_is_rejected(self):
+        trees = [
+            Cotree([JOIN, LEAF, LEAF], [-1, 0, 1], None, 2, 2),
+            Cotree([LEAF, JOIN], [0, -1], None, 1, 1),
+            Cotree([LEAF, LEAF, JOIN, JOIN], [0, 1, -1, -1], None, 3, 2),
+            Cotree([LEAF, LEAF, JOIN], [0, 1, -1], None, 0, 2),  # root not last
+        ]
+        for tree in trees:
+            with pytest.raises(ValueError, match="postorder"):
+                tree.validate()
 
 
 class TestOtherLayoutsSolveTheSame:
@@ -162,7 +168,6 @@ class TestOtherLayoutsSolveTheSame:
             level = up
         tree = Cotree(kind, a, b, level[0], n)
         renumbered = relaid(tree, left_first_postorder(tree))
-        renumbered.postordered = True
         renumbered.validate()
         for restricted in ([], range(n), range(0, n, 3)):
             assert solution_text(tree, restricted) == solution_text(renumbered, restricted)

@@ -1,15 +1,17 @@
-"""Storage of a parsed cotree: kinds and leaf labels, child arrays on demand.
+"""Storage of a cotree: kinds and leaf labels, child arrays on demand.
 
-``parse_cotree`` stores ``kind`` and, in ``a``, the leaf labels (-1 at every
+Every builder stores ``kind`` and, in ``a``, the leaf labels (-1 at every
 internal node); the first read of ``a`` or ``b`` derives the child indices.
-The solve, the isolated-vertex check and ``verify_on_tree`` must never take
-that pass, relabelling through ``tree.a`` must still reach the fold, and the
-derived arrays must equal the ones the eager builders store.
+The solve, the isolated-vertex check, ``verify_on_tree``, ``materialize``
+and ``serialize_cotree`` must never take that pass, relabelling through
+``tree.a`` must still reach the fold, and the derived arrays must equal a
+recursive reference.
 """
 
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -22,12 +24,13 @@ from pairdom import (
     parse_cotree,
     random_cotree,
     random_restricted,
+    recognize,
     serialize_cotree,
     solve,
     verify_on_tree,
 )
 from pairdom.cli import format_solution
-from pairdom.cotree import JOIN, LEAF, UNION
+from pairdom.cotree import JOIN, LEAF, UNION, _in_postorder
 from pairdom.solver import _isolated_labels
 
 
@@ -50,6 +53,97 @@ def relabelled(tree: Cotree, seed: int) -> Cotree:
     return tree
 
 
+def reference_arena(text: str) -> tuple[list[int], list[int], list[int], int]:
+    """Kinds, child arrays and root of binary cotree text, by recursive
+    descent (small trees only), nodes stored in left-first postorder."""
+    tokens = iter(re.findall(r"[0-9]+|[(+*)]", text))
+    kind: list[int] = []
+    a: list[int] = []
+    b: list[int] = []
+
+    def node() -> int:
+        tok = next(tokens)
+        if tok == "(":
+            op = UNION if next(tokens) == "+" else JOIN
+            left, right = node(), node()
+            next(tokens)  # ")"
+            kind.append(op), a.append(left), b.append(right)
+        else:
+            kind.append(LEAF), a.append(int(tok)), b.append(-1)
+        return len(kind) - 1
+
+    root = node()
+    return kind, a, b, root
+
+
+def reference_text(tree: Cotree) -> str:
+    """Binary text read off the child arrays, recursively."""
+    def text(i: int) -> str:
+        if tree.kind[i] == LEAF:
+            return str(tree.a[i])
+        op = "+" if tree.kind[i] == UNION else "*"
+        return f"({op} {text(tree.a[i])} {text(tree.b[i])})"
+    return text(tree.root)
+
+
+def reference_adj(tree: Cotree) -> list[list[int]]:
+    """Sorted adjacency rows from the child arrays: a join node links every
+    leaf under its left child to every leaf under its right one."""
+    adj: list[list[int]] = [[] for _ in range(tree.leaf_count)]
+
+    def leaves(i: int) -> list[int]:
+        if tree.kind[i] == LEAF:
+            return [tree.a[i]]
+        left, right = leaves(tree.a[i]), leaves(tree.b[i])
+        if tree.kind[i] == JOIN:
+            for u in left:
+                adj[u].extend(right)
+            for v in right:
+                adj[v].extend(left)
+        return left + right
+
+    leaves(tree.root)
+    return [sorted(row) for row in adj]
+
+
+def small_trees(count: int):
+    """Generated and parsed trees of up to 120 leaves, n-ary text included."""
+    rng = random.Random(9)
+    for seed in range(count):
+        tree = random_cotree(rng.randint(1, 120), rng.choice([0.0, 0.3, 0.7, 1.0]), seed)
+        yield tree
+        yield parse_cotree(serialize_cotree(tree))
+    yield parse_cotree("(+ (* 0 1 2 3) 4 (* 5 (+ 6 7 8)) 9)")
+
+
+class TestOneForm:
+    def test_builders_store_no_child_arrays(self):
+        tree = random_cotree(50, 0.5, 1)
+        assert tree._b is None
+        assert recognize(materialize(tree))._b is None
+        preorder = Cotree([JOIN, LEAF, UNION, LEAF, LEAF], [1, 0, 3, 1, 2], [2, -1, 4, -1, -1], 0, 3)
+        copy = _in_postorder(preorder)
+        assert copy._b is None and copy.postordered
+        assert (copy.kind, copy._a) == ([LEAF, LEAF, LEAF, UNION, JOIN], [0, 1, 2, -1, -1])
+
+    def test_postordered_is_read_only_and_survives_the_derive(self):
+        tree = parse_cotree("(* 0 (+ 1 2))")
+        tree.b
+        assert tree.postordered
+        with pytest.raises(AttributeError):
+            tree.postordered = False
+
+    def test_materialize_and_serialize_need_no_child_arrays(self):
+        for tree in small_trees(60):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(Cotree, "_derive", refuse)
+                text = serialize_cotree(tree)
+                adj = materialize(tree).adj
+            assert tree._b is None
+            assert text == reference_text(tree)
+            assert adj == reference_adj(tree)
+
+
 class TestParsedArena:
     def test_stores_kinds_and_labels_only(self):
         tree = parse_cotree("(* (+ 2 0) 1)")
@@ -69,9 +163,15 @@ class TestParsedArena:
             assert (tree.kind, tree.a, tree.b, tree.root) == (
                 eager.kind, eager.a, eager.b, eager.root)
 
-    def test_unordered_arena_needs_child_arrays(self):
-        with pytest.raises(ValueError, match="must be postordered"):
-            Cotree([LEAF], [0], None, 0, 1)
+    def test_derived_arrays_equal_a_recursive_reference(self):
+        for tree in small_trees(60):
+            want = reference_arena(serialize_cotree(tree))
+            assert (tree.kind, tree.a, tree.b, tree.root) == want
+
+    def test_arena_without_child_arrays_is_postordered(self):
+        tree = Cotree([LEAF], [0], None, 0, 1)
+        assert tree.postordered
+        tree.validate()
 
 
 class TestNoDerivePass:
@@ -134,6 +234,19 @@ def test_parsed_tree_holds_at_most_80_bytes_per_leaf():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tree = parse_cotree(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tree.leaf_count == n
+    assert held <= 80 * n, f"{held / n:.1f} bytes per leaf"
+
+
+def test_generated_tree_holds_at_most_80_bytes_per_leaf():
+    n = 1 << 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = random_cotree(n, 0.5, 0)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
