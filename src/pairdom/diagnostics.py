@@ -16,6 +16,7 @@ from .solver import (
     _FH,
     _IC,
     _KC,
+    _KF,
     _KH,
     _NR,
     _NV,
@@ -71,23 +72,30 @@ def _walk_pool(ctx: SolveContext, head: int) -> list[int]:
     return out
 
 
-def _walk_pairs(ctx: SolveContext, head: int) -> tuple[tuple[int, int], ...]:
+def _walk_pairs(
+    ctx: SolveContext, summ: NodeSummary, chain: int
+) -> tuple[tuple[int, int], ...]:
     lab = ctx.labels
-    us, vs = ctx._pair_ends(head)
+    us, vs = ctx._pair_ends(summ, chain)
     return tuple((lab[u], lab[v]) for u, v in zip(us, vs))
 
 
 def snapshot(ctx: SolveContext, summ: NodeSummary) -> SummaryView:
-    """Non-destructive readable view of a summary record of ``ctx``."""
+    """Non-destructive readable view of a summary record of ``ctx``.
+
+    A relink's result keeps its full pairs in a flat list off the arena;
+    they are read from there and never written back, since a write-back
+    would change what the next combine sees.
+    """
     return SummaryView(
         vertex_count=summ[_NV],
         restricted_count=summ[_NR],
         k=summ[_KC],
         s=summ[_SC],
         f=summ[_FC],
-        full_pairs=_walk_pairs(ctx, summ[_KH]),
-        semi_pairs=_walk_pairs(ctx, summ[_SH]),
-        free_pairs=_walk_pairs(ctx, summ[_FH]),
+        full_pairs=_walk_pairs(ctx, summ, _KH),
+        semi_pairs=_walk_pairs(ctx, summ, _SH),
+        free_pairs=_walk_pairs(ctx, summ, _FH),
         unmatched_restricted=tuple(_walk_pool(ctx, summ[_RH])),
         unmatched_free=tuple(_walk_pool(ctx, summ[_UH])),
         isolated_count=summ[_IC],
@@ -102,6 +110,8 @@ def snapshot(ctx: SolveContext, summ: NodeSummary) -> SummaryView:
 
 def check_invariants(ctx: SolveContext, summ: NodeSummary) -> None:
     """Verify the counting identities of a summary of ``ctx`` (test support)."""
+    if summ[_KF] is not None and summ[_KH] >= 0:
+        raise AssertionError("full pairs both in a flat list and on the arena")
     view = snapshot(ctx, summ)
     k, s, f = view.k, view.s, view.f
     if (len(view.full_pairs), len(view.semi_pairs), len(view.free_pairs)) != (k, s, f):

@@ -10,10 +10,11 @@ discarded.  When the left side holds more, its solution is patched with cross
 pairs, dispatching on how its unmatched restricted supply compares with the
 right side's restricted and free demand.  When both hold equally many, the
 left solution is discarded too and the two restricted sets are paired
-straight across; two sides whose pairs are all full and hold every
-restricted vertex are relinked in place, pair slot by pair slot, as long as
-no pair of the solve has died.  Every construction leaves at most one free
-pair.
+straight across.  When both sides' pairs are all full and hold every
+restricted vertex, and no pair of the solve has died, that cross is the
+perfect shuffle of the two sides' full pairs: the relink builds it as one
+flat endpoint list by slice assignment.  Every construction leaves at most
+one free pair.
 
 The solver never looks at adjacency.  The two constructions that need a
 restricted-free edge inside one side answer that question from the witness
@@ -21,8 +22,12 @@ edge maintained bottom-up, which exists exactly when such an edge exists.
 
 All pair sequences and vertex pools are singly-linked chains threaded through
 per-solve arenas, so concatenation and popping are O(1) and a union combine
-costs constant time regardless of subtree size.  Summaries are flat mutable
-records (plain lists) owned by their :class:`SolveContext`; inspect them with
+costs constant time regardless of subtree size.  A relink's result is the
+exception: its full pairs stay in their flat list, off the arena, and the
+next relink and the extraction read that list as it is.  Every other combine
+first writes them back onto the arena, so pair slots and ``pof`` are valid
+wherever a chain is read.  Summaries are flat mutable records (plain lists)
+owned by their :class:`SolveContext`; inspect them with
 :meth:`SolveContext.snapshot` (see :mod:`pairdom.diagnostics`).  Combines
 consume their inputs.
 """
@@ -30,7 +35,7 @@ consume their inputs.
 from __future__ import annotations
 
 import gc
-from itertools import repeat
+from itertools import islice, repeat
 from typing import TYPE_CHECKING, Iterable
 
 from .cotree import Cotree, JOIN, LEAF, UNION, _in_postorder
@@ -71,6 +76,10 @@ _WR, _WF = 16, 17  # witness restricted-free edge inside the subtree (-1 none)
 _XR, _XF = 18, 19  # exemplars: smallest restricted / free label (-1 none)
 _XRI, _XFI = 20, 21  # the exemplars' vertex ids
 _CASE = 22  # tag of the rule that produced this summary
+# A relink's result keeps its full pairs out of the arena, as one flat list
+# [u1, v1, u2, v2, ...] in chain order; _KH/_KT are then -1 and those
+# vertices' pof is stale.  None when the full pairs are on the chain.
+_KF = 23
 # The chain and pool helpers take a head slot: its tail is the next slot, and
 # a pair chain's count sits at half its head slot (_KH >> 1 == _KC, ...).
 
@@ -113,12 +122,15 @@ class SolveContext:
         # theirs on the free list.  A pair removed from the middle of a chain
         # is marked dead by pu[pid] = -1 and skipped by walkers; dead_pairs
         # records that one was, so no chain is relinked over a dead slot.
+        # A relink frees its sides' slots and keeps the pairs in the
+        # summary's _KF list; they get slots again only when another combine
+        # writes them back.
         self.pu: list[int] = []
         self.pv: list[int] = []
         self.pn: list[int] = []
         self.free_pids: list[int] = []
         self.dead_pairs = False
-        self.pof = [-1] * n  # vertex -> pair id; valid only while matched
+        self.pof = [-1] * n  # vertex -> pair id; valid while on a chain
         self.nxt = [-1] * n  # link slot for the unmatched pools
         # claimed[v] > 0 means v was consumed out of turn by a construction
         # that picked it directly (exemplar or witness vertex); the pending
@@ -145,9 +157,9 @@ class SolveContext:
         self.nxt[v] = -1
         if self.rflags[x]:
             return [1, 1, 0, 0, 0, -1, -1, -1, -1, -1, -1, v, v, -1, -1,
-                    1, -1, -1, x, -1, v, -1, "leaf"]
+                    1, -1, -1, x, -1, v, -1, "leaf", None]
         return [1, 0, 0, 0, 0, -1, -1, -1, -1, -1, -1, -1, -1, v, v,
-                1, -1, -1, -1, x, -1, v, "leaf"]
+                1, -1, -1, -1, x, -1, v, "leaf", None]
 
     # -- chain primitives ------------------------------------------------------
 
@@ -370,31 +382,47 @@ class SolveContext:
         """Balanced cross of two sides whose pairs are all full and whose
         full chains hold no dead slot, neither restricted pool holding an
         entry: the exact result of spilling both sides and crossing rl
-        pairs, built in place.
+        pairs, left in shuffle form on l.
 
         Spilled, the i-th full pairs (ul, vl) of l and (ur, vr) of r pool as
-        ul, vl and ur, vr, so the cross pairs (ul, ur) then (vl, vr).  l's
-        old slot becomes the first, r's the second, linked in that order:
-        one step per two pairs, no pool written, no slot taken or freed.
+        ul, vl and ur, vr, so the cross pairs (ul, ur) then (vl, vr): the
+        result's flat list is the perfect shuffle of the two sides' lists.
+        No pool is written and no slot taken.
         """
-        pu, pv, pn, pof = self.pu, self.pv, self.pn, self.pof
-        a, b = l[_KH], r[_KH]
-        tail = -1
-        for _ in range(l[_KC]):
-            ur = pu[b]
-            vl = pv[a]
-            pv[a] = ur
-            pu[b] = vl
-            pof[ur] = a
-            pof[vl] = b
-            na = pn[a]
-            pn[a] = tail = b
-            b = pn[b]
-            pn[tail] = a = na
-        if a >= 0 or b >= 0:
+        fl = l[_KF] or self._flat_fulls(l)
+        fr = r[_KF] or self._flat_fulls(r)
+        if len(fl) != len(fr):
             raise SolverInternalError("relink: full chains of unequal length")
-        l[_KT] = tail
+        f = fl * 2
+        f[0::2] = fl
+        f[1::2] = fr
+        l[_KF] = f
         l[_KC] *= 2
+
+    def _flat_fulls(self, s: NodeSummary) -> list[int]:
+        """The flat endpoint list of s's full chain, walked once; its slots
+        go to the free list and the chain is left empty."""
+        pu, pv, pn = self.pu, self.pv, self.pn
+        free = self.free_pids.append
+        f = []
+        add = f.append
+        pid = s[_KH]
+        while pid >= 0:
+            add(pu[pid])
+            add(pv[pid])
+            free(pid)
+            pid = pn[pid]
+        s[_KH] = s[_KT] = -1
+        return f
+
+    def _write_back(self, s: NodeSummary) -> None:
+        """Put a shuffle-form summary's full pairs back on its arena chain,
+        one _add_pair per pair, so their slots and pof are valid again."""
+        it = iter(s[_KF])
+        s[_KF] = None
+        s[_KC] = 0
+        for u, v in zip(it, it):
+            self._add_pair(s, _KH, u, v)
 
     def _append_pool(self, summ: NodeSummary, pool: int, v: int) -> None:
         """Append v to the pool whose head slot is pool."""
@@ -594,13 +622,13 @@ class SolveContext:
         if fv:
             x, i = (xu, u) if xu < xv else (xv, v)
             return [2, 2, 1, 0, 0, pid, pid, -1, -1, -1, -1, -1, -1, -1, -1,
-                    0, -1, -1, x, -1, i, -1, "balanced-cross"]
+                    0, -1, -1, x, -1, i, -1, "balanced-cross", None]
         if fu:
             return [2, 1, 0, 1, 0, -1, -1, pid, pid, -1, -1, -1, -1, -1, -1,
-                    0, u, v, xu, xv, u, v, "cover-right"]
+                    0, u, v, xu, xv, u, v, "cover-right", None]
         x, i = (xu, u) if xu < xv else (xv, v)
         return [2, 0, 0, 0, 1, -1, -1, -1, -1, pid, pid, -1, -1, -1, -1,
-                0, -1, -1, -1, x, -1, i, "free-cross"]
+                0, -1, -1, -1, x, -1, i, "free-cross", None]
 
     def _join_leaf(self, s: NodeSummary, v: int, leaf_left: bool) -> NodeSummary:
         """Join of an inner summary s with the leaf v (the left operand when
@@ -608,6 +636,8 @@ class SolveContext:
         on s and leaf_summary(v).  The two rare constructions that need
         s's witness edge or a second free vertex take that generic path.
         """
+        if s[_KF] is not None:
+            self._write_back(s)
         nr = s[_NR]
         xf = s[_XFI]  # id of s's smallest free vertex
         x = self.labels[v]
@@ -700,6 +730,10 @@ class SolveContext:
         Both inputs are consumed; the merged record is returned.
         """
         l, r = left, right
+        if l[_KF] is not None:
+            self._write_back(l)
+        if r[_KF] is not None:
+            self._write_back(r)
         l[_NV] += r[_NV]
         l[_NR] += r[_NR]
         l[_KC] += r[_KC]
@@ -727,12 +761,13 @@ class SolveContext:
         least as many restricted vertices.  The right side's solution is
         always discarded, and the left one too when the restricted counts
         are equal; discarded vertices are re-paired across the cut or left
-        in the pools.  Equal counts relink the two full chains in place when
-        every restricted vertex sits in a full pair, neither side holds a
-        free pair or a restricted pool entry, and no pair of this solve has
-        died (witness-split kills one); any other balanced cross spills both
-        sides and crosses.  The joint graph has no isolated vertices, so the
-        output isolated count is zero.  Consumes both inputs.
+        in the pools.  Equal counts shuffle the two sides' full pairs into
+        one flat list (``_relink_fulls``) when every restricted vertex sits
+        in a full pair, neither side holds a free pair or a restricted pool
+        entry, and no pair of this solve has died (witness-split kills one);
+        any other balanced cross spills both sides and crosses.  The joint
+        graph has no isolated vertices, so the output isolated count is
+        zero.  Consumes both inputs.
         """
         l, r = left, right
         if l[_NR] < r[_NR]:
@@ -755,6 +790,15 @@ class SolveContext:
         xr, xri = xr[_XR], xr[_XRI]
         xf, xfi = xf[_XF], xf[_XFI]
 
+        # Only the relink reads a side's flat list; every other path below
+        # reads the arena, so a shuffle-form side is written back first.
+        relink = (0 < rl == rr and rl == 2 * l[_KC] == 2 * r[_KC] and l[_RH] < 0
+                  and r[_RH] < 0 and not (l[_FC] or r[_FC] or self.dead_pairs))
+        if not relink:
+            if l[_KF] is not None:
+                self._write_back(l)
+            if r[_KF] is not None:
+                self._write_back(r)
         if rl == rr == 0:
             # No restricted vertices at all: a single cross pair dominates
             # everything, and one pair is the least any solution can use.
@@ -766,17 +810,16 @@ class SolveContext:
             self._spill(r)
             self._add_pair(l, _FH, vl, vr)
             case = "free-cross"
+        elif relink:
+            self._relink_fulls(l, r)
+            case = "balanced-cross"
         elif rl == rr:
             # Equal restricted counts: discard both solutions and pair the
             # restricted sets straight across; every pair is full, nothing
             # else is needed for domination.
-            if (rl == 2 * l[_KC] == 2 * r[_KC] and l[_RH] < 0 and r[_RH] < 0
-                    and not (l[_FC] or r[_FC] or self.dead_pairs)):
-                self._relink_fulls(l, r)
-            else:
-                self._spill(l)
-                self._spill(r)
-                self._cross(l, r, rl, _KH, _RH)
+            self._spill(l)
+            self._spill(r)
+            self._cross(l, r, rl, _KH, _RH)
             case = "balanced-cross"
         else:
             kl = l[_KC]
@@ -945,17 +988,18 @@ class SolveContext:
         lab = self.labels.__getitem__
         pairs: list[PairedEdge] = []
         counts = []
-        for head, cls in (
-            (summ[_KH], EdgeClass.FULL),
-            (summ[_SH], EdgeClass.SEMI),
-            (summ[_FH], EdgeClass.FREE),
+        for chain, cls in (
+            (_KH, EdgeClass.FULL),
+            (_SH, EdgeClass.SEMI),
+            (_FH, EdgeClass.FREE),
         ):
-            us, vs = self._pair_ends(head)
+            us, vs = self._pair_ends(summ, chain)
             # PairedEdge(u, v, cls) is tuple.__new__(PairedEdge, (u, v, cls));
             # mapping that directly builds the rows without a Python call each.
             rows = zip(map(lab, us), map(lab, vs), repeat(cls))
+            done = len(pairs)
             pairs.extend(map(tuple.__new__, repeat(PairedEdge), rows))
-            counts.append(len(us))
+            counts.append(len(pairs) - done)
         k, s, f = counts
         if (k, s, f) != (summ[_KC], summ[_SC], summ[_FC]):
             raise SolverInternalError(
@@ -971,12 +1015,17 @@ class SolveContext:
             case_trace=summ[_CASE],
         )
 
-    def _pair_ends(self, head: int) -> tuple[list[int], list[int]]:
-        """Endpoint ids of the live pairs on the chain starting at head."""
+    def _pair_ends(self, summ: NodeSummary, chain: int) -> tuple[Iterable[int], ...]:
+        """Endpoint ids of the live pairs on the chain whose head slot is
+        chain.  A shuffle-form full chain is read off its flat list, which
+        stays as it is."""
+        if chain == _KH and summ[_KF] is not None:
+            f = summ[_KF]
+            return islice(f, 0, None, 2), islice(f, 1, None, 2)
         us: list[int] = []
         vs: list[int] = []
         pu, pv, pn = self.pu, self.pv, self.pn
-        pid = head
+        pid = summ[chain]
         while pid >= 0:
             u = pu[pid]
             if u >= 0:  # else dead

@@ -28,7 +28,7 @@ from pairdom import (
 )
 from pairdom.cli import format_solution
 from pairdom.cotree import JOIN, LEAF
-from pairdom.solver import _FC, _FH, _KH, _NR, _NV, _RH, _SH
+from pairdom.solver import _FC, _FH, _KC, _KF, _KH, _NR, _NV, _RH, _SH
 from conftest import random_instance_params
 
 
@@ -433,7 +433,8 @@ def _chain_slots(ctx, head):
 def relinks(monkeypatch):
     """Every ``_relink_fulls`` call made during the test, recorded as the
     vertex count of its two sides; neither may hold a free pair or a dead
-    full-chain slot."""
+    full-chain slot, and a side in shuffle form holds its full pairs as a
+    flat list of 2 * _KC vertex ids and nothing on the arena."""
     calls = []
     relink = SolveContext._relink_fulls
 
@@ -441,6 +442,10 @@ def relinks(monkeypatch):
         for s in (l, r):
             assert s[_FC] == 0
             assert all(self.pu[pid] >= 0 for pid in _chain_slots(self, s[_KH]))
+            if s[_KF] is not None:
+                assert s[_KH] == -1
+                assert len(s[_KF]) == 2 * s[_KC]
+                assert all(0 <= v < self.n for v in s[_KF])
         calls.append(l[_NV] + r[_NV])
         relink(self, l, r)
 
@@ -486,10 +491,62 @@ def _perfect_join_text(lo, hi):
     return f"(* {_perfect_join_text(lo, mid)} {_perfect_join_text(mid, hi)})"
 
 
+def _clique_text(lo, hi):
+    """A join chain over the labels lo..hi-1: the clique on them."""
+    text = str(lo)
+    for v in range(lo + 1, hi):
+        text = f"(* {text} {v})"
+    return text
+
+
+def _assert_every_slot_accounted(ctx, root, note=""):
+    """Each slot of the arena is on exactly one of the root's chains or on
+    the free list.  A root in shuffle form holds its full pairs in no slot."""
+    slots = [pid for h in (_KH, _SH, _FH) for pid in _chain_slots(ctx, root[h])]
+    assert sorted(slots + ctx.free_pids) == list(range(len(ctx.pu))), note
+
+
+def _p(lo, m):
+    return _perfect_join_text(lo, lo + m)
+
+
+# Trees that hand an R = V perfect join of m leaves to each reader other
+# than the relink: builder of (text, restricted) by m, and the root's case.
+_SHUFFLE_READERS = {
+    # combine_union of two such subtrees.
+    "union": (lambda m: (f"(+ {_p(0, m)} {_p(m, 2 * m)})", range(3 * m)), "union"),
+    # _join_leaf with a restricted leaf, a free leaf, a left leaf; then a
+    # second restricted leaf, which pairs the first one onto the full chain.
+    "leaf-restricted": (lambda m: (f"(* {_p(0, m)} {m})", range(m + 1)),
+                        "all-restricted-odd"),
+    "leaf-free": (lambda m: (f"(* {_p(0, m)} {m})", range(m)), "keep-full"),
+    "leaf-left": (lambda m: (f"(* {m} {_p(0, m)})", range(m + 1)),
+                  "all-restricted-odd"),
+    "two-leaves": (lambda m: (f"(* (* {_p(0, m)} {m}) {m + 1})", range(m + 2)),
+                   "cover-right"),
+    # An unequal join: the larger side splits full pairs (_split_fulls),
+    # the smaller one spills.
+    "deficit": (lambda m: (f"(* {_p(0, 2 * m)} {_p(2 * m, m)})", range(3 * m)),
+                "deficit-full"),
+    # A balanced cross beside a side of two odd all-restricted cliques,
+    # each with one vertex pooled: both sides spill.
+    "beside-odd": (lambda m: (f"(* {_p(0, m)} (+ {m} {_clique_text(m + 1, 2 * m)}))",
+                              range(2 * m)), "balanced-cross"),
+    # Two halves, each with a free vertex unmatched, relink; a free leaf
+    # joins their union with another free leaf, and witness-split reads pof.
+    "witness-split": (
+        lambda m: (f"(* (+ (* (* {_p(0, m // 2)} {m}) (* {_p(m // 2, m // 2)} {m + 1}))"
+                   f" {m + 2}) {m + 3})", range(m)),
+        "witness-split",
+    ),
+}
+
+
 class TestRelinkFulls:
     """A balanced cross of two sides whose restricted vertices all sit in
-    full pairs, relinked in place, equals spilling both sides and crossing:
-    every node's snapshot and claimed counts, and the solution text."""
+    full pairs, relinked as a shuffle of their flat endpoint lists, equals
+    spilling both sides and crossing: every node's snapshot and claimed
+    counts, and the solution text."""
 
     def compare(self, tree, restricted, monkeypatch):
         reference = SolveContext(tree.leaf_count, restricted)
@@ -541,6 +598,68 @@ class TestRelinkFulls:
             self.compare(tree, range(2 * m), monkeypatch)
             assert all(v < 2 * m for v in relinks)
 
+    # A relink leaves its result in shuffle form: the full pairs as one flat
+    # list, off the arena.  Every other reader writes them back first.
+
+    @pytest.mark.parametrize("shape", sorted(_SHUFFLE_READERS))
+    def test_shuffled_sides_reach_every_other_combine(self, monkeypatch, shape):
+        build, case = _SHUFFLE_READERS[shape]
+        backs = []
+        write_back = SolveContext._write_back
+
+        def counted(self, s):
+            backs.append(len(s[_KF]))
+            write_back(self, s)
+
+        monkeypatch.setattr(SolveContext, "_write_back", counted)
+        for m in (2, 4, 8, 16, 32, 64):
+            text, restricted = build(m)
+            tree = parse_cotree(text)
+            backs.clear()
+            self.compare(tree, restricted, monkeypatch)
+            assert solve(tree, restricted).case_trace == case
+            # From four leaves up the perfect join is a relink's result.
+            assert backs or m < 4, f"m={m}"
+            ctx = SolveContext(tree.leaf_count, restricted)
+            root = ctx.run(tree)
+            ctx.check_invariants(root)
+            _assert_every_slot_accounted(ctx, root, f"m={m}")
+
+    def test_perfect_join_stays_off_the_arena(self):
+        # R = V: every join above the leaf pairs relinks, and the first
+        # flattens both leaf pairs' slots, which the next leaf pairs reuse.
+        # A relink that walked or wrote the arena would grow it.
+        n = 1 << 10
+        ctx = SolveContext(n, range(n))
+        root = ctx.run(parse_cotree(_perfect_join_text(0, n)))
+        assert sorted(root[_KF]) == list(range(n))
+        assert len(ctx.pu) == 2
+        assert sorted(ctx.free_pids) == [0, 1]
+
+    @pytest.mark.parametrize("shuffled", [True, False], ids=["shuffle-form", "arena"])
+    def test_unequal_lists_raise(self, shuffled):
+        ctx = SolveContext(6, range(6))
+        combine = ctx.combine_joint if shuffled else ctx.combine_union
+        l = combine(ctx._leaf2_joint(0, 1), ctx._leaf2_joint(2, 3))
+        assert (l[_KF] is not None) == shuffled
+        with pytest.raises(SolverInternalError, match="unequal length"):
+            ctx._relink_fulls(l, ctx._leaf2_joint(4, 5))
+
+    def test_snapshot_leaves_a_shuffled_summary_as_it_is(self):
+        ctx = SolveContext(8, range(8))
+        leaf2 = ctx._leaf2_joint
+        s = ctx.combine_joint(
+            ctx.combine_joint(leaf2(0, 1), leaf2(2, 3)),
+            ctx.combine_joint(leaf2(4, 5), leaf2(6, 7)),
+        )
+        arena = [list(a) for a in (ctx.pu, ctx.pv, ctx.pn, ctx.pof, ctx.free_pids)]
+        flat = list(s[_KF])
+        view = ctx.snapshot(s)
+        ctx.check_invariants(s)
+        assert view.full_pairs == ((0, 4), (2, 6), (1, 5), (3, 7))
+        assert [ctx.pu, ctx.pv, ctx.pn, ctx.pof, ctx.free_pids] == arena
+        assert s[_KF] == flat and s[_KH] == -1
+
 
 class TestPairArena:
     def test_every_slot_is_on_a_root_chain_or_free(self):
@@ -552,9 +671,7 @@ class TestPairArena:
             tree = random_cotree(n, 0.7, seed)
             tree.kind[tree.root] = JOIN
             ctx = SolveContext(n, random_restricted(n, 0.5, seed + 1))
-            root = ctx.run(tree)
-            slots = [pid for h in (_KH, _SH, _FH) for pid in _chain_slots(ctx, root[h])]
-            assert sorted(slots + ctx.free_pids) == list(range(len(ctx.pu))), f"seed {seed}"
+            _assert_every_slot_accounted(ctx, ctx.run(tree), f"seed {seed}")
 
 
 class TestGoldenRegression:
