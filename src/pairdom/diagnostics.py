@@ -102,8 +102,8 @@ def snapshot(ctx: SolveContext, summ: NodeSummary) -> SummaryView:
         rf_witness=(
             (ctx.labels[summ[_WR]], ctx.labels[summ[_WF]]) if summ[_WR] >= 0 else None
         ),
-        exemplar_restricted=summ[_XR] if summ[_XR] >= 0 else None,
-        exemplar_free=summ[_XF] if summ[_XF] >= 0 else None,
+        exemplar_restricted=ctx.labels[summ[_XR]] if summ[_XR] >= 0 else None,
+        exemplar_free=ctx.labels[summ[_XF]] if summ[_XF] >= 0 else None,
         case=summ[_CASE],
     )
 

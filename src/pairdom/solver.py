@@ -3,18 +3,17 @@
 The solver folds the tree bottom-up.  Every node carries a summary of its
 subtree graph: a canonical solution of the graph minus its isolated vertices,
 pools of unmatched vertices, and a few O(1) aggregates (a restricted-free
-witness edge, minimum-vertex exemplars).  A union concatenates the two child
-summaries unchanged.  A join rebuilds, with sides ordered so the left one
-holds at least as many restricted vertices; the right solution is always
-discarded.  When the left side holds more, its solution is patched with cross
-pairs, dispatching on how its unmatched restricted supply compares with the
-right side's restricted and free demand.  When both hold equally many, the
-left solution is discarded too and the two restricted sets are paired
-straight across.  When both sides' pairs are all full and hold every
-restricted vertex, and no pair of the solve has died, that cross is the
-perfect shuffle of the two sides' full pairs: the relink builds it as one
-flat endpoint list by slice assignment.  Every construction leaves at most
-one free pair.
+witness edge, the vertices with the smallest restricted and free labels).  A
+union concatenates the two child summaries unchanged.  A join rebuilds, with
+sides ordered so the left one holds at least as many restricted vertices; the
+right solution is always discarded.  When the left side holds more, its
+solution is patched with cross pairs, dispatching on how its unmatched
+restricted supply compares with the right side's restricted and free demand.
+When both hold equally many, the left solution is discarded too and the two
+restricted sets are paired straight across.  When every restricted vertex of
+both sides sits in a full pair, that cross is the perfect shuffle of the two
+sides' full pairs: the relink builds it as one flat endpoint list by slice
+assignment.  Every construction leaves at most one free pair.
 
 The solver never looks at adjacency.  The two constructions that need a
 restricted-free edge inside one side answer that question from the witness
@@ -24,12 +23,12 @@ All pair sequences and vertex pools are singly-linked chains threaded through
 per-solve arenas, so concatenation and popping are O(1) and a union combine
 costs constant time regardless of subtree size.  A relink's result is the
 exception: its full pairs stay in their flat list, off the arena, and the
-next relink and the extraction read that list as it is.  Every other combine
-first writes them back onto the arena, so pair slots and ``pof`` are valid
-wherever a chain is read.  Summaries are flat mutable records (plain lists)
-owned by their :class:`SolveContext`; inspect them with
-:meth:`SolveContext.snapshot` (see :mod:`pairdom.diagnostics`).  Combines
-consume their inputs.
+next relink and the extraction read that list as it is.  A combine that
+reads or appends to the full chain first writes them back onto the arena,
+so pair slots and ``pof`` are valid wherever a chain is read.  Summaries are
+flat mutable records (plain lists) owned by their :class:`SolveContext`;
+inspect them with :meth:`SolveContext.snapshot` (see
+:mod:`pairdom.diagnostics`).  Combines consume their inputs.
 """
 
 from __future__ import annotations
@@ -73,13 +72,14 @@ _RH, _RT = 11, 12  # pool: unmatched restricted vertices
 _UH, _UT = 13, 14  # pool: unmatched free vertices
 _IC = 15  # isolated vertices in the subtree graph
 _WR, _WF = 16, 17  # witness restricted-free edge inside the subtree (-1 none)
-_XR, _XF = 18, 19  # exemplars: smallest restricted / free label (-1 none)
-_XRI, _XFI = 20, 21  # the exemplars' vertex ids
-_CASE = 22  # tag of the rule that produced this summary
+# Exemplars: ids of the vertices with the smallest restricted / free label
+# (-1 none); tie-breaks compare their labels.
+_XR, _XF = 18, 19
+_CASE = 20  # tag of the rule that produced this summary
 # A relink's result keeps its full pairs out of the arena, as one flat list
 # [u1, v1, u2, v2, ...] in chain order; _KH/_KT are then -1 and those
 # vertices' pof is stale.  None when the full pairs are on the chain.
-_KF = 23
+_KF = 21
 # The chain and pool helpers take a head slot: its tail is the next slot, and
 # a pair chain's count sits at half its head slot (_KH >> 1 == _KC, ...).
 
@@ -113,15 +113,14 @@ class SolveContext:
         self.rflags = restricted.flags  # by label
         # Vertex ids.  Manual combines use the labels themselves; run()
         # numbers the vertices by leaf order and records their labels here.
-        # Pools, pairs and witness edges hold ids; the exemplars are kept as
-        # labels (next to their ids), so every tie-break compares labels.
+        # Pools, pairs, witness edges and exemplars hold ids; every
+        # tie-break compares labels.
         self.labels = range(n)
         # Pair arena: endpoints plus the chain link.  The slot of a pair that
         # leaves its chain is reused: a pair popped off a chain head may hand
         # it straight to the pair that replaces it, and destroyed pairs put
         # theirs on the free list.  A pair removed from the middle of a chain
-        # is marked dead by pu[pid] = -1 and skipped by walkers; dead_pairs
-        # records that one was, so no chain is relinked over a dead slot.
+        # is marked dead by pu[pid] = -1; walkers skip it and free its slot.
         # A relink frees its sides' slots and keeps the pairs in the
         # summary's _KF list; they get slots again only when another combine
         # writes them back.
@@ -129,7 +128,6 @@ class SolveContext:
         self.pv: list[int] = []
         self.pn: list[int] = []
         self.free_pids: list[int] = []
-        self.dead_pairs = False
         self.pof = [-1] * n  # vertex -> pair id; valid while on a chain
         self.nxt = [-1] * n  # link slot for the unmatched pools
         # claimed[v] > 0 means v was consumed out of turn by a construction
@@ -153,13 +151,12 @@ class SolveContext:
         restricted or the free pools follows the context's restricted set.
         """
         v = vertex
-        x = self.labels[v]
         self.nxt[v] = -1
-        if self.rflags[x]:
+        if self.rflags[self.labels[v]]:
             return [1, 1, 0, 0, 0, -1, -1, -1, -1, -1, -1, v, v, -1, -1,
-                    1, -1, -1, x, -1, v, -1, "leaf", None]
+                    1, -1, -1, v, -1, "leaf", None]
         return [1, 0, 0, 0, 0, -1, -1, -1, -1, -1, -1, -1, -1, v, v,
-                1, -1, -1, -1, x, -1, v, "leaf", None]
+                1, -1, -1, -1, v, "leaf", None]
 
     # -- chain primitives ------------------------------------------------------
 
@@ -379,16 +376,20 @@ class SolveContext:
             r[_RT] = -1
 
     def _relink_fulls(self, l: NodeSummary, r: NodeSummary) -> None:
-        """Balanced cross of two sides whose pairs are all full and whose
-        full chains hold no dead slot, neither restricted pool holding an
-        entry: the exact result of spilling both sides and crossing rl
-        pairs, left in shuffle form on l.
+        """Balanced cross of two sides whose restricted vertices all sit in
+        full pairs, neither restricted pool holding an entry: the exact
+        result of spilling both sides and crossing rl pairs, left in shuffle
+        form on l.
 
         Spilled, the i-th full pairs (ul, vl) of l and (ur, vr) of r pool as
         ul, vl and ur, vr, so the cross pairs (ul, ur) then (vl, vr): the
         result's flat list is the perfect shuffle of the two sides' lists.
-        No pool is written and no slot taken.
+        Free pairs drop into their side's free pool, as the spill drops
+        them; no restricted pool is written and no slot taken.
         """
+        for s in (l, r):
+            if s[_FC]:
+                self._drop_free_pairs(s)
         fl = l[_KF] or self._flat_fulls(l)
         fr = r[_KF] or self._flat_fulls(r)
         if len(fl) != len(fr):
@@ -400,16 +401,19 @@ class SolveContext:
         l[_KC] *= 2
 
     def _flat_fulls(self, s: NodeSummary) -> list[int]:
-        """The flat endpoint list of s's full chain, walked once; its slots
-        go to the free list and the chain is left empty."""
+        """The flat endpoint list of s's full chain, walked once; its slots,
+        dead ones included, go to the free list and the chain is left
+        empty."""
         pu, pv, pn = self.pu, self.pv, self.pn
         free = self.free_pids.append
         f = []
         add = f.append
         pid = s[_KH]
         while pid >= 0:
-            add(pu[pid])
-            add(pv[pid])
+            u = pu[pid]
+            if u >= 0:  # else dead
+                add(u)
+                add(pv[pid])
             free(pid)
             pid = pn[pid]
         s[_KH] = s[_KT] = -1
@@ -562,7 +566,8 @@ class SolveContext:
         leaf_left), built on s in place: v goes to the head of its pool when
         it is the left operand, to the tail otherwise."""
         nxt = self.nxt
-        x = self.labels[v]
+        lab = self.labels
+        x = lab[v]
         s[_NV] += 1
         s[_IC] += 1
         if self.rflags[x]:
@@ -584,9 +589,8 @@ class SolveContext:
             else:
                 nxt[t] = v
             s[pool + 1] = v
-        if s[ex] < 0 or x < s[ex]:
-            s[ex] = x
-            s[ex + 2] = v  # the exemplar's id
+        if s[ex] < 0 or x < lab[s[ex]]:
+            s[ex] = v
         s[_CASE] = "union"
         return s
 
@@ -620,27 +624,26 @@ class SolveContext:
         self.pof[u] = pid
         self.pof[v] = pid
         if fv:
-            x, i = (xu, u) if xu < xv else (xv, v)
             return [2, 2, 1, 0, 0, pid, pid, -1, -1, -1, -1, -1, -1, -1, -1,
-                    0, -1, -1, x, -1, i, -1, "balanced-cross", None]
+                    0, -1, -1, u if xu < xv else v, -1, "balanced-cross", None]
         if fu:
             return [2, 1, 0, 1, 0, -1, -1, pid, pid, -1, -1, -1, -1, -1, -1,
-                    0, u, v, xu, xv, u, v, "cover-right", None]
-        x, i = (xu, u) if xu < xv else (xv, v)
+                    0, u, v, u, v, "cover-right", None]
         return [2, 0, 0, 0, 1, -1, -1, -1, -1, pid, pid, -1, -1, -1, -1,
-                0, -1, -1, -1, x, -1, i, "free-cross", None]
+                0, -1, -1, -1, u if xu < xv else v, "free-cross", None]
 
     def _join_leaf(self, s: NodeSummary, v: int, leaf_left: bool) -> NodeSummary:
         """Join of an inner summary s with the leaf v (the left operand when
         leaf_left), built on s in place: the exact result of combine_joint
         on s and leaf_summary(v).  The two rare constructions that need
         s's witness edge or a second free vertex take that generic path.
+        A side in shuffle form has nr >= 2 > res, so it is kept, and it is
+        written back only before a full pair is appended to its chain.
         """
-        if s[_KF] is not None:
-            self._write_back(s)
         nr = s[_NR]
-        xf = s[_XFI]  # id of s's smallest free vertex
-        x = self.labels[v]
+        xf = s[_XF]  # id of s's smallest free vertex
+        lab = self.labels
+        x = lab[v]
         res = self.rflags[x]
         if nr > res:
             # s is the kept side; v is the one right vertex.  The pair that
@@ -656,6 +659,8 @@ class SolveContext:
                     u, w = self._pop_pair(s, _SH)
                     self._push_free(s, w)
                     case = "deficit-semi" if res else "move-semi"
+                if res and s[_KF] is not None:
+                    self._write_back(s)
                 self._add_pair(s, _KH if res else _SH, u, v)
             elif not res:
                 if s[_FC] or s[_IC]:
@@ -711,11 +716,10 @@ class SolveContext:
             ex = _XR
         else:
             if nr:
-                s[_WR], s[_WF] = s[_XRI], v
+                s[_WR], s[_WF] = s[_XR], v
             ex = _XF
-        if s[ex] < 0 or x < s[ex]:
-            s[ex] = x
-            s[ex + 2] = v
+        if s[ex] < 0 or x < lab[s[ex]]:
+            s[ex] = v
         s[_NR] = nr + res
         s[_NV] += 1
         s[_IC] = 0
@@ -746,11 +750,11 @@ class SolveContext:
         if l[_WR] < 0 and r[_WR] >= 0:
             l[_WR] = r[_WR]
             l[_WF] = r[_WF]
+        lab = self.labels
         for ex in (_XR, _XF):
             x = r[ex]
-            if x >= 0 and (l[ex] < 0 or x < l[ex]):
+            if x >= 0 and (l[ex] < 0 or lab[x] < lab[l[ex]]):
                 l[ex] = x
-                l[ex + 2] = r[ex + 2]
         l[_CASE] = "union"
         return l
 
@@ -763,9 +767,8 @@ class SolveContext:
         are equal; discarded vertices are re-paired across the cut or left
         in the pools.  Equal counts shuffle the two sides' full pairs into
         one flat list (``_relink_fulls``) when every restricted vertex sits
-        in a full pair, neither side holds a free pair or a restricted pool
-        entry, and no pair of this solve has died (witness-split kills one);
-        any other balanced cross spills both sides and crosses.  The joint
+        in a full pair and neither side holds a restricted pool entry; any
+        other balanced cross spills both sides and crosses.  The joint
         graph has no isolated vertices, so the output isolated count is
         zero.  Consumes both inputs.
         """
@@ -778,22 +781,22 @@ class SolveContext:
 
         # Witness and exemplars describe the graph, not the matching; compute
         # the merged values from the pre-combine slots now, install at the end.
+        lab = self.labels
         wr, wf = l[_WR], l[_WF]
-        if l[_XR] >= 0 and r[_XF] >= 0:
-            wr, wf = l[_XRI], r[_XFI]
-        elif r[_XR] >= 0 and l[_XF] >= 0:
-            wr, wf = r[_XRI], l[_XFI]
+        lxr, lxf, rxr, rxf = l[_XR], l[_XF], r[_XR], r[_XF]
+        if lxr >= 0 and rxf >= 0:
+            wr, wf = lxr, rxf
+        elif rxr >= 0 and lxf >= 0:
+            wr, wf = rxr, lxf
         elif wr < 0:
             wr, wf = r[_WR], r[_WF]
-        xr = l if r[_XR] < 0 or (0 <= l[_XR] < r[_XR]) else r
-        xf = l if r[_XF] < 0 or (0 <= l[_XF] < r[_XF]) else r
-        xr, xri = xr[_XR], xr[_XRI]
-        xf, xfi = xf[_XF], xf[_XFI]
+        xr = lxr if rxr < 0 or (lxr >= 0 and lab[lxr] < lab[rxr]) else rxr
+        xf = lxf if rxf < 0 or (lxf >= 0 and lab[lxf] < lab[rxf]) else rxf
 
         # Only the relink reads a side's flat list; every other path below
         # reads the arena, so a shuffle-form side is written back first.
-        relink = (0 < rl == rr and rl == 2 * l[_KC] == 2 * r[_KC] and l[_RH] < 0
-                  and r[_RH] < 0 and not (l[_FC] or r[_FC] or self.dead_pairs))
+        relink = (0 < rl == rr == 2 * l[_KC] == 2 * r[_KC] and l[_RH] < 0
+                  and r[_RH] < 0)
         if not relink:
             if l[_KF] is not None:
                 self._write_back(l)
@@ -802,13 +805,11 @@ class SolveContext:
         if rl == rr == 0:
             # No restricted vertices at all: a single cross pair dominates
             # everything, and one pair is the least any solution can use.
-            vl = l[_XFI]
-            vr = r[_XFI]
-            claimed[vl] += 1
-            claimed[vr] += 1
+            claimed[lxf] += 1
+            claimed[rxf] += 1
             self._spill(l)
             self._spill(r)
-            self._add_pair(l, _FH, vl, vr)
+            self._add_pair(l, _FH, lxf, rxf)
             case = "free-cross"
         elif relink:
             self._relink_fulls(l, r)
@@ -883,7 +884,6 @@ class SolveContext:
                         raise SolverInternalError("witness endpoint is not matched")
                     partner = self.pv[pid] if self.pu[pid] == w_res else self.pu[pid]
                     self.pu[pid] = -1  # dead; chain walkers skip it
-                    self.dead_pairs = True
                     l[_KC] -= 1
                     claimed[w_free] += 1
                     self._add_pair(l, _SH, partner, self._pop_pool(r, _UH))
@@ -965,7 +965,6 @@ class SolveContext:
         l[_NR] = rl + rr
         l[_WR], l[_WF] = wr, wf
         l[_XR], l[_XF] = xr, xf
-        l[_XRI], l[_XFI] = xri, xfi
         l[_CASE] = case
         if l[_NR] > 0 and l[_FC] > (1 if case == "free-bridge" else 0):
             raise SolverInternalError(f"free-pair guard after {case}")

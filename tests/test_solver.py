@@ -28,7 +28,7 @@ from pairdom import (
 )
 from pairdom.cli import format_solution
 from pairdom.cotree import JOIN, LEAF
-from pairdom.solver import _FC, _FH, _KC, _KF, _KH, _NR, _NV, _RH, _SH
+from pairdom.solver import _FH, _KC, _KF, _KH, _NR, _NV, _RH, _SH
 from conftest import random_instance_params
 
 
@@ -296,18 +296,19 @@ class TestRareJointConstructions:
             "cover-plus",
         )
 
-    # Balanced crosses that relink in place or must not.  ``relinks`` holds
-    # each relink's vertex count.
+    # Balanced crosses that relink or must not.  ``relinks`` holds each
+    # relink's vertex count.  A relink is checked node by node against
+    # spilling both sides and crossing.
 
-    def test_balanced_cross_over_free_bridge(self, relinks):
+    def test_balanced_cross_over_free_bridge(self, relinks, monkeypatch):
         # The left child is free-bridge's (0,1) full plus the free pair
         # (2,3), which drops into the free pool; 2 and 3 stay unmatched.
-        sol = self.check(
-            "(* (* (+ (* 0 1) 2) 3) (* 4 5))", [0, 1, 4, 5], (2, 0, 0), "balanced-cross"
-        )
+        text = "(* (* (+ (* 0 1) 2) 3) (* 4 5))"
+        sol = self.check(text, [0, 1, 4, 5], (2, 0, 0), "balanced-cross")
         assert norm_pairs(sol) == [(0, 4), (1, 5)]
-        # A side with a free pair spills.
-        assert relinks == []
+        # The relink drops the free pair as the spill would.
+        assert relinks == [6]
+        TestRelinkFulls.compare(parse_cotree(text), [0, 1, 4, 5], monkeypatch)
 
     @pytest.mark.parametrize(
         "text",
@@ -322,25 +323,23 @@ class TestRareJointConstructions:
         ],
         ids=["left-mid-chain", "right-head"],
     )
-    def test_balanced_cross_over_dead_full_slot(self, relinks, text):
-        # The join with 15 above takes the last freed slot for its semi
-        # pair: a dead slot freed but left linked in a live chain would cut it.
-        sol = self.check(
-            f"(* {text} 15)",
-            [0, 1, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
-            (6, 1, 0),
-            "deficit-odd-left-free",
-        )
+    def test_balanced_cross_over_dead_full_slot(self, relinks, monkeypatch, text):
+        # The relink skips the dead slot and frees it with the chain; the
+        # join with 15 above takes the last freed slot for its semi pair: a
+        # dead slot freed but left linked in a live chain would cut it.
+        text = f"(* {text} 15)"
+        members = [0, 1, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]
+        sol = self.check(text, members, (6, 1, 0), "deficit-odd-left-free")
         assert norm_pairs(sol) == [
             (0, 13), (1, 11), (2, 15), (5, 9), (6, 10), (7, 12), (8, 14)
         ]
-        # A pair of this solve died before the balanced cross: it spills.
-        assert relinks == []
+        assert relinks == [15]
+        TestRelinkFulls.compare(parse_cotree(text), members, monkeypatch)
 
     @pytest.mark.parametrize("witness_first", [True, False], ids=["witness-first", "relink-first"])
-    def test_balanced_cross_beside_a_witness_split(self, relinks, witness_first):
+    def test_balanced_cross_beside_a_witness_split(self, relinks, monkeypatch, witness_first):
         # Two subtrees under a union: a witness-split, and a balanced cross
-        # of two full pairs.  The cross relinks only when it folds first.
+        # of two full pairs.  The cross relinks in either order.
         split = "(* (+ (* (* 0 1) 2) 3) 4)"
         cross = "(* (* 5 6) (* 7 8))"
         text = f"(+ {split} {cross})" if witness_first else f"(+ {cross} {split})"
@@ -349,7 +348,8 @@ class TestRareJointConstructions:
             "beta 6\nkfs 2 2 0\npair 0 2 semi\npair 1 4 semi\n"
             "pair 5 7 full\npair 6 8 full\n"
         )
-        assert relinks == ([] if witness_first else [4])
+        assert relinks == [4]
+        TestRelinkFulls.compare(parse_cotree(text), [0, 1, 5, 6, 7, 8], monkeypatch)
 
     def test_balanced_cross_over_all_restricted_odd(self, relinks):
         # Both sides are K_3, all restricted, each with one vertex pooled:
@@ -432,16 +432,13 @@ def _chain_slots(ctx, head):
 @pytest.fixture
 def relinks(monkeypatch):
     """Every ``_relink_fulls`` call made during the test, recorded as the
-    vertex count of its two sides; neither may hold a free pair or a dead
-    full-chain slot, and a side in shuffle form holds its full pairs as a
-    flat list of 2 * _KC vertex ids and nothing on the arena."""
+    vertex count of its two sides; a side in shuffle form holds its full
+    pairs as a flat list of 2 * _KC vertex ids and nothing on the arena."""
     calls = []
     relink = SolveContext._relink_fulls
 
     def recorded(self, l, r):
         for s in (l, r):
-            assert s[_FC] == 0
-            assert all(self.pu[pid] >= 0 for pid in _chain_slots(self, s[_KH]))
             if s[_KF] is not None:
                 assert s[_KH] == -1
                 assert len(s[_KF]) == 2 * s[_KC]
@@ -450,6 +447,20 @@ def relinks(monkeypatch):
         relink(self, l, r)
 
     monkeypatch.setattr(SolveContext, "_relink_fulls", recorded)
+    return calls
+
+
+@pytest.fixture
+def write_backs(monkeypatch):
+    """The flat-list length of every ``_write_back`` made during the test."""
+    calls = []
+    write_back = SolveContext._write_back
+
+    def counted(self, s):
+        calls.append(len(s[_KF]))
+        write_back(self, s)
+
+    monkeypatch.setattr(SolveContext, "_write_back", counted)
     return calls
 
 
@@ -510,13 +521,29 @@ def _p(lo, m):
     return _perfect_join_text(lo, lo + m)
 
 
-# Trees that hand an R = V perfect join of m leaves to each reader other
+def _free_leaf_under_each_side(m):
+    """A perfect join of the restricted leaves 0..m-1 (m a power of two) in
+    which each child of every join is first joined with a free leaf of its
+    own, (* (* L f) (* R g)); the free leaves are labelled from m up."""
+    free = iter(range(m, 3 * m))
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return str(lo)
+        mid = (lo + hi) // 2
+        return f"(* (* {build(lo, mid)} {next(free)}) (* {build(mid, hi)} {next(free)}))"
+
+    return build(0, m), range(m)
+
+
+# Trees that hand an R = V perfect join of m leaves to each combine other
 # than the relink: builder of (text, restricted) by m, and the root's case.
 _SHUFFLE_READERS = {
     # combine_union of two such subtrees.
     "union": (lambda m: (f"(+ {_p(0, m)} {_p(m, 2 * m)})", range(3 * m)), "union"),
-    # _join_leaf with a restricted leaf, a free leaf, a left leaf; then a
-    # second restricted leaf, which pairs the first one onto the full chain.
+    # _join_leaf with a restricted leaf, a free leaf, a left leaf: each only
+    # pools the leaf, so the side stays in shuffle form.  Then a second
+    # restricted leaf, which pairs the first one onto the full chain.
     "leaf-restricted": (lambda m: (f"(* {_p(0, m)} {m})", range(m + 1)),
                         "all-restricted-odd"),
     "leaf-free": (lambda m: (f"(* {_p(0, m)} {m})", range(m)), "keep-full"),
@@ -548,7 +575,8 @@ class TestRelinkFulls:
     spilling both sides and crossing: every node's snapshot and claimed
     counts, and the solution text."""
 
-    def compare(self, tree, restricted, monkeypatch):
+    @staticmethod
+    def compare(tree, restricted, monkeypatch):
         reference = SolveContext(tree.leaf_count, restricted)
         reference._relink_fulls = partial(_spill_and_cross, reference)
         relinked = _fold_views(tree, restricted, True)
@@ -599,31 +627,67 @@ class TestRelinkFulls:
             assert all(v < 2 * m for v in relinks)
 
     # A relink leaves its result in shuffle form: the full pairs as one flat
-    # list, off the arena.  Every other reader writes them back first.
+    # list, off the arena.  A combine that reads or extends the full chain
+    # writes them back first; a leaf join that only pools its leaf does not.
 
     @pytest.mark.parametrize("shape", sorted(_SHUFFLE_READERS))
-    def test_shuffled_sides_reach_every_other_combine(self, monkeypatch, shape):
+    def test_shuffled_sides_reach_every_other_combine(self, write_backs, monkeypatch, shape):
         build, case = _SHUFFLE_READERS[shape]
-        backs = []
-        write_back = SolveContext._write_back
-
-        def counted(self, s):
-            backs.append(len(s[_KF]))
-            write_back(self, s)
-
-        monkeypatch.setattr(SolveContext, "_write_back", counted)
+        pools_only = shape in ("leaf-free", "leaf-left", "leaf-restricted")
         for m in (2, 4, 8, 16, 32, 64):
             text, restricted = build(m)
             tree = parse_cotree(text)
-            backs.clear()
+            write_backs.clear()
             self.compare(tree, restricted, monkeypatch)
             assert solve(tree, restricted).case_trace == case
-            # From four leaves up the perfect join is a relink's result.
-            assert backs or m < 4, f"m={m}"
+            if pools_only:
+                assert write_backs == [], f"m={m}"
+            else:
+                # From four leaves up the perfect join is a relink's result.
+                assert write_backs or m < 4, f"m={m}"
             ctx = SolveContext(tree.leaf_count, restricted)
             root = ctx.run(tree)
             ctx.check_invariants(root)
             _assert_every_slot_accounted(ctx, root, f"m={m}")
+
+    def test_free_leaf_under_each_side_keeps_the_shuffle(self, relinks, write_backs,
+                                                         monkeypatch):
+        # Every join above the bottom one relinks sides that have each just
+        # pooled a free leaf, so no side is ever written back.
+        for m in (2, 4, 8, 16, 32, 64):
+            text, restricted = _free_leaf_under_each_side(m)
+            tree = parse_cotree(text)
+            relinks.clear()
+            assert solve(tree, restricted).case_trace == "balanced-cross"
+            assert len(relinks) == m // 2 - 1
+            self.compare(tree, restricted, monkeypatch)
+            assert write_backs == [], f"m={m}"
+
+    @pytest.mark.parametrize("join_bias", [0.5, 0.8])
+    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+    def test_relink_fires_exactly_when_the_shuffle_holds(self, monkeypatch, join_bias, density):
+        # A join's result is in shuffle form exactly when every restricted
+        # vertex of both sides sits in a full pair, both sides equally many,
+        # and neither side holds a restricted pool entry.  Free pairs and
+        # dead slots elsewhere in the solve do not turn the relink off.
+        seen = []
+        joint = SolveContext.combine_joint
+
+        def checked(self, l, r):
+            shuffle = (0 < l[_NR] == r[_NR] == 2 * l[_KC] == 2 * r[_KC]
+                       and l[_RH] < 0 and r[_RH] < 0)
+            out = joint(self, l, r)
+            assert (out[_KF] is not None) == shuffle
+            seen.append(shuffle)
+            return out
+
+        monkeypatch.setattr(SolveContext, "combine_joint", checked)
+        for seed in range(400):
+            n = 2 + seed % 47
+            tree = random_cotree(n, join_bias, seed)
+            ctx = SolveContext(n, random_restricted(n, density, seed + 1))
+            ctx.check_invariants(ctx.run(tree))
+        assert any(seen) == (density > 0)
 
     def test_perfect_join_stays_off_the_arena(self):
         # R = V: every join above the leaf pairs relinks, and the first
@@ -659,6 +723,60 @@ class TestRelinkFulls:
         assert view.full_pairs == ((0, 4), (2, 6), (1, 5), (3, 7))
         assert [ctx.pu, ctx.pv, ctx.pn, ctx.pof, ctx.free_pids] == arena
         assert s[_KF] == flat and s[_KH] == -1
+
+
+class TestExemplars:
+    """Summaries keep their exemplars as vertex ids; the snapshot names the
+    smallest restricted and free label under each node."""
+
+    @staticmethod
+    def min_labels(tree, flags):
+        """(smallest restricted label, smallest free label) under each
+        internal node, in postorder; None where there is none."""
+        out, stack = [], []
+        labels = iter(tree.leaf_labels())
+        for k in tree.kind:
+            if k == LEAF:
+                x = next(labels)
+                stack.append((x, None) if flags[x] else (None, x))
+                continue
+            b, a = stack.pop(), stack.pop()
+            both = tuple(min((v for v in pair if v is not None), default=None)
+                         for pair in zip(a, b))
+            stack.append(both)
+            out.append(both)
+        return out
+
+    @pytest.mark.parametrize("density", [0.0, 0.3, 0.7, 1.0])
+    def test_run_mode_exemplars_are_the_smallest_labels(self, monkeypatch, density):
+        # random_cotree labels its leaves by a shuffled permutation, so a
+        # vertex id (leaf rank) and its label order differently.
+        views = []
+        depth = [0]
+
+        def recorded(build):
+            def call(self, *args):
+                depth[0] += 1
+                try:
+                    s = build(self, *args)
+                finally:
+                    depth[0] -= 1
+                if not depth[0]:  # a join leaf's generic path is one node
+                    views.append(self.snapshot(s))
+                return s
+            return call
+
+        for name in ("combine_union", "combine_joint", "_union_leaf",
+                     "_join_leaf", "_leaf2_joint"):
+            monkeypatch.setattr(SolveContext, name, recorded(getattr(SolveContext, name)))
+        for seed in range(150):
+            n = 2 + seed % 41
+            tree = random_cotree(n, 0.5, seed)
+            restricted = random_restricted(n, density, seed + 1)
+            views.clear()
+            SolveContext(n, restricted).run(tree)
+            got = [(v.exemplar_restricted, v.exemplar_free) for v in views]
+            assert got == self.min_labels(tree, restricted.flags), f"seed {seed}"
 
 
 class TestPairArena:
