@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """In-process A/B timing of ``solve()`` between two ``pairdom`` source trees.
 
-    python3 tools/ab_solve.py ../base/src/pairdom [src/pairdom] --rounds 20
+    python3 tools/ab_solve.py ../base/src/pairdom [src/pairdom]
 
 Both trees load into one process under their own package names.  On the
-library instances of perfbench's workloads (``perfbench/instances.py``),
-each round times one ``solve()`` per copy with ``time.process_time``, in an
-order that flips every round, and the first round checks that the copies
-return the same pairs.  Prints each copy's median and the second's wins.
+library instances of perfbench's two workloads (``perfbench/instances.py``,
+seed 1), each of 40 rounds times one ``solve()`` per copy with
+``time.process_time``, in an order that flips every round, and the first
+round checks that the copies return the same pairs.  Prints each copy's
+median and the second's wins.
 """
 
-import argparse
 import importlib
 import shutil
 import statistics
@@ -20,34 +20,30 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ROUNDS = 40
 # workload -> (family, leaves, shape seed) of perfbench's library instance
-WORKLOADS = {"random-262k": ("random", 2**18, 0), "perfect-join-rv": ("perfect", 2**18, 0)}
+WORKLOADS = {"perfect-join-rv": ("perfect", 2**18, 0), "random-262k": ("random", 2**18, 0)}
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("a", type=Path, help="baseline pairdom package directory")
-    parser.add_argument("b", type=Path, nargs="?", default=ROOT / "src" / "pairdom")
-    parser.add_argument("--rounds", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", choices=sorted(WORKLOADS), action="append")
-    args = parser.parse_args()
+    if not 2 <= len(sys.argv) <= 3:
+        raise SystemExit(__doc__)
+    trees = [Path(sys.argv[1]), Path(sys.argv[2] if len(sys.argv) == 3 else ROOT / "src" / "pairdom")]
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
     from instances import make_restricted, make_tree
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         mods = []
-        for name, src in (("pairdom_a", args.a), ("pairdom_b", args.b)):
+        for name, src in zip(("pairdom_a", "pairdom_b"), trees):
             shutil.copytree(src, Path(tmp, name), ignore=shutil.ignore_patterns("__pycache__"))
             mods.append(importlib.import_module(name))
-        for workload in args.workload or sorted(WORKLOADS):
-            family, n, shape_seed = WORKLOADS[workload]
-            tree = make_tree(family, n, shape_seed, args.seed)
-            members = make_restricted(family, n, args.seed).members()
+        for workload, (family, n, shape_seed) in WORKLOADS.items():
+            tree = make_tree(family, n, shape_seed, 1)
+            members = make_restricted(family, n, 1).members()
             sets = [mod.RestrictedSet(n, members) for mod in mods]
             times = [[], []]
-            for rnd in range(args.rounds):
+            for rnd in range(ROUNDS):
                 pairs = []
                 for i in (0, 1) if rnd % 2 == 0 else (1, 0):
                     start = time.process_time()
@@ -61,7 +57,7 @@ def main() -> None:
             wins = sum(b < a for a, b in zip(*times))
             med = [statistics.median(t) for t in times]
             print(f"{workload}: a {med[0]:.3f} s, b {med[1]:.3f} s "
-                  f"({med[1] / med[0] - 1:+.1%}), b faster in {wins}/{args.rounds} rounds")
+                  f"({med[1] / med[0] - 1:+.1%}), b faster in {wins}/{ROUNDS} rounds")
 
 
 if __name__ == "__main__":
