@@ -63,7 +63,9 @@ def format_solution(solution: MPDSolution) -> str:
     """The solution text.  Rows are keyed by their smaller endpoint, which
     no two pairs of a solution share (its pairs are vertex-disjoint), so
     the keys sort alone and no per-row tuple is built.  Raises
-    ``ValueError`` when two pairs do share it."""
+    ``ValueError`` when two pairs do share it.  The row dict is dropped
+    before the join, and a last empty line gives the trailing newline, so
+    only one copy of the text is built."""
     lines = [f"beta {solution.matched_number}", f"kfs {solution.k} {solution.s} {solution.f}"]
     rows = {}
     for u, v, cls in solution.pairs:
@@ -74,7 +76,9 @@ def format_solution(solution: MPDSolution) -> str:
     if len(rows) != len(solution.pairs):
         raise ValueError("two pairs share their smaller endpoint")
     lines.extend(map(rows.__getitem__, sorted(rows)))
-    return "\n".join(lines) + "\n"
+    del rows
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_solution_text(text: str) -> tuple[int, tuple[int, int, int], list[tuple[int, int]]]:

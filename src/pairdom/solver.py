@@ -13,7 +13,9 @@ When both hold equally many, the left solution is discarded too and the two
 restricted sets are paired straight across.  When every restricted vertex of
 both sides sits in a full pair, that cross is the perfect shuffle of the two
 sides' full pairs: the relink builds it as one flat endpoint list by slice
-assignment.  Every construction leaves at most one free pair.
+assignment.  A join of two restricted leaves is the shuffle of two one-vertex
+lists and starts in that form.  Every construction leaves at most one free
+pair.
 
 The solver never looks at adjacency.  The two constructions that need a
 restricted-free edge inside one side answer that question from the witness
@@ -21,14 +23,15 @@ edge maintained bottom-up, which exists exactly when such an edge exists.
 
 All pair sequences and vertex pools are singly-linked chains threaded through
 per-solve arenas, so concatenation and popping are O(1) and a union combine
-costs constant time regardless of subtree size.  A relink's result is the
-exception: its full pairs stay in their flat list, off the arena, and the
-next relink and the extraction read that list as it is.  A combine that
-reads or appends to the full chain first writes them back onto the arena,
-so pair slots and ``pof`` are valid wherever a chain is read.  Summaries are
-flat mutable records (plain lists) owned by their :class:`SolveContext`;
-inspect them with :meth:`SolveContext.snapshot` (see
-:mod:`pairdom.diagnostics`).  Combines consume their inputs.
+costs constant time regardless of subtree size.  A summary in shuffle form,
+a restricted leaf pair or a relink's result, is the exception: its full pairs
+stay in their flat list, off the arena, and the next relink and the
+extraction read that list as it is.  A combine that reads or appends to the
+full chain first writes them back onto the arena, so pair slots and ``pof``
+are valid wherever a chain is read.  Summaries are flat mutable records
+(plain lists) owned by their :class:`SolveContext`; inspect them with
+:meth:`SolveContext.snapshot` (see :mod:`pairdom.diagnostics`).  Combines
+consume their inputs.
 """
 
 from __future__ import annotations
@@ -76,9 +79,10 @@ _WR, _WF = 16, 17  # witness restricted-free edge inside the subtree (-1 none)
 # (-1 none); tie-breaks compare their labels.
 _XR, _XF = 18, 19
 _CASE = 20  # tag of the rule that produced this summary
-# A relink's result keeps its full pairs out of the arena, as one flat list
-# [u1, v1, u2, v2, ...] in chain order; _KH/_KT are then -1 and those
-# vertices' pof is stale.  None when the full pairs are on the chain.
+# Shuffle form: a restricted leaf pair or a relink's result keeps its full
+# pairs out of the arena, as one flat list [u1, v1, u2, v2, ...] in chain
+# order; _KH/_KT are then -1 and those vertices' pof is stale.  None when the
+# full pairs are on the chain.
 _KF = 21
 # The chain and pool helpers take a head slot: its tail is the next slot, and
 # a pair chain's count sits at half its head slot (_KH >> 1 == _KC, ...).
@@ -121,9 +125,10 @@ class SolveContext:
         # it straight to the pair that replaces it, and destroyed pairs put
         # theirs on the free list.  A pair removed from the middle of a chain
         # is marked dead by pu[pid] = -1; walkers skip it and free its slot.
-        # A relink frees its sides' slots and keeps the pairs in the
-        # summary's _KF list; they get slots again only when another combine
-        # writes them back.
+        # A restricted leaf pair takes no slot, and a relink frees its sides'
+        # slots: both keep their pairs in the summary's _KF list, which gets
+        # slots only when another combine writes it back.  A perfect join
+        # with every vertex restricted leaves the arena empty.
         self.pu: list[int] = []
         self.pv: list[int] = []
         self.pn: list[int] = []
@@ -387,9 +392,10 @@ class SolveContext:
         Free pairs drop into their side's free pool, as the spill drops
         them; no restricted pool is written and no slot taken.
         """
-        for s in (l, r):
-            if s[_FC]:
-                self._drop_free_pairs(s)
+        if l[_FC]:
+            self._drop_free_pairs(l)
+        if r[_FC]:
+            self._drop_free_pairs(r)
         fl = l[_KF] or self._flat_fulls(l)
         fr = r[_KF] or self._flat_fulls(r)
         if len(fl) != len(fr):
@@ -597,6 +603,11 @@ class SolveContext:
     def _leaf2_joint(self, u: int, v: int) -> NodeSummary:
         """Join of two leaves: exactly one cross pair, nothing pooled.
 
+        A full pair is the shuffle of two one-vertex lists, so it is
+        returned in shuffle form, [u, v] in _KF, and takes no slot; the next
+        relink reads that list as it is.  A semi or free pair goes on the
+        arena.
+
         This is part of the frozen tie-breaking, not a shortcut for
         combine_joint on two leaf summaries: in the free-cross case the
         generic join leaves both endpoints claimed in the free pool, where
@@ -607,8 +618,11 @@ class SolveContext:
         xu, xv = lab[u], lab[v]
         fu = self.rflags[xu]
         fv = self.rflags[xv]
-        if fv and not fu:
-            u, v, xu, xv, fu, fv = v, u, xv, xu, fv, fu  # restricted endpoint first
+        if fu and fv:
+            return [2, 2, 1, 0, 0, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+                    0, -1, -1, u if xu < xv else v, -1, "balanced-cross", [u, v]]
+        if fv:
+            u, v, xu, xv, fu = v, u, xv, xu, fv  # restricted endpoint first
         pu, pv, pn = self.pu, self.pv, self.pn
         free = self.free_pids
         if free:
@@ -623,9 +637,6 @@ class SolveContext:
             pn.append(-1)
         self.pof[u] = pid
         self.pof[v] = pid
-        if fv:
-            return [2, 2, 1, 0, 0, pid, pid, -1, -1, -1, -1, -1, -1, -1, -1,
-                    0, -1, -1, u if xu < xv else v, -1, "balanced-cross", None]
         if fu:
             return [2, 1, 0, 1, 0, -1, -1, pid, pid, -1, -1, -1, -1, -1, -1,
                     0, u, v, u, v, "cover-right", None]
@@ -767,17 +778,19 @@ class SolveContext:
         are equal; discarded vertices are re-paired across the cut or left
         in the pools.  Equal counts shuffle the two sides' full pairs into
         one flat list (``_relink_fulls``) when every restricted vertex sits
-        in a full pair and neither side holds a restricted pool entry; any
-        other balanced cross spills both sides and crosses.  The joint
-        graph has no isolated vertices, so the output isolated count is
-        zero.  Consumes both inputs.
+        in a full pair and neither side holds a restricted pool entry; that
+        gate is tested first, after the witness and exemplar merge, and the
+        relink ends with its own short tail.  Any other balanced cross
+        spills both sides and crosses.  Every path but the relink writes a
+        shuffle-form side back onto the arena first.  The joint graph has
+        no isolated vertices, so the output isolated count is zero.
+        Consumes both inputs.
         """
         l, r = left, right
         if l[_NR] < r[_NR]:
             l, r = r, l
         rl = l[_NR]
         rr = r[_NR]
-        claimed = self.claimed
 
         # Witness and exemplars describe the graph, not the matching; compute
         # the merged values from the pre-combine slots now, install at the end.
@@ -793,15 +806,32 @@ class SolveContext:
         xr = lxr if rxr < 0 or (lxr >= 0 and lab[lxr] < lab[rxr]) else rxr
         xf = lxf if rxf < 0 or (lxf >= 0 and lab[lxf] < lab[rxf]) else rxf
 
+        if 0 < rl == rr == 2 * l[_KC] == 2 * r[_KC] and l[_RH] < 0 and r[_RH] < 0:
+            # The shuffle holds.  Both restricted pools are empty and the
+            # relink drops the free pairs, so only the free pools join and
+            # the free-pair guard below cannot fire.
+            self._relink_fulls(l, r)
+            rh = r[_UH]
+            if rh >= 0:
+                if l[_UH] < 0:
+                    l[_UH] = rh
+                else:
+                    self.nxt[l[_UT]] = rh
+                l[_UT] = r[_UT]
+            l[_IC] = 0
+            l[_NV] += r[_NV]
+            l[_NR] = rl + rr
+            l[_WR], l[_WF] = wr, wf
+            l[_XR], l[_XF] = xr, xf
+            l[_CASE] = "balanced-cross"
+            return l
         # Only the relink reads a side's flat list; every other path below
         # reads the arena, so a shuffle-form side is written back first.
-        relink = (0 < rl == rr == 2 * l[_KC] == 2 * r[_KC] and l[_RH] < 0
-                  and r[_RH] < 0)
-        if not relink:
-            if l[_KF] is not None:
-                self._write_back(l)
-            if r[_KF] is not None:
-                self._write_back(r)
+        if l[_KF] is not None:
+            self._write_back(l)
+        if r[_KF] is not None:
+            self._write_back(r)
+        claimed = self.claimed
         if rl == rr == 0:
             # No restricted vertices at all: a single cross pair dominates
             # everything, and one pair is the least any solution can use.
@@ -811,9 +841,6 @@ class SolveContext:
             self._spill(r)
             self._add_pair(l, _FH, lxf, rxf)
             case = "free-cross"
-        elif relink:
-            self._relink_fulls(l, r)
-            case = "balanced-cross"
         elif rl == rr:
             # Equal restricted counts: discard both solutions and pair the
             # restricted sets straight across; every pair is full, nothing

@@ -7,8 +7,11 @@ Both trees load into one process under their own package names.  On the
 library instances of perfbench's two workloads (``perfbench/instances.py``,
 seed 1), each of 40 rounds times one ``solve()`` per copy with
 ``time.process_time``, in an order that flips every round, and the first
-round checks that the copies return the same pairs.  Prints each copy's
-median and the second's wins.
+round checks that the copies return the same pairs.  Each workload's tree
+is solved as ``parse_cotree(serialize_cotree(tree))``, built once, so both
+copies fold the postfix tree that perfbench's text op parses, with no
+renumbering copy in the timed call.  Prints each copy's median and the
+second's wins.
 """
 
 import importlib
@@ -31,6 +34,7 @@ def main() -> None:
     trees = [Path(sys.argv[1]), Path(sys.argv[2] if len(sys.argv) == 3 else ROOT / "src" / "pairdom")]
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
     from instances import make_restricted, make_tree
+    from pairdom import parse_cotree, serialize_cotree
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
@@ -39,7 +43,7 @@ def main() -> None:
             shutil.copytree(src, Path(tmp, name), ignore=shutil.ignore_patterns("__pycache__"))
             mods.append(importlib.import_module(name))
         for workload, (family, n, shape_seed) in WORKLOADS.items():
-            tree = make_tree(family, n, shape_seed, 1)
+            tree = parse_cotree(serialize_cotree(make_tree(family, n, shape_seed, 1)))
             members = make_restricted(family, n, 1).members()
             sets = [mod.RestrictedSet(n, members) for mod in mods]
             times = [[], []]
