@@ -13,9 +13,7 @@ When both hold equally many, the left solution is discarded too and the two
 restricted sets are paired straight across.  When every restricted vertex of
 both sides sits in a full pair, that cross is the perfect shuffle of the two
 sides' full pairs: the relink builds it as one flat endpoint list by slice
-assignment.  A join of two restricted leaves is the shuffle of two one-vertex
-lists and starts in that form.  Every construction leaves at most one free
-pair.
+assignment.  Every construction leaves at most one free pair.
 
 The solver never looks at adjacency.  The two constructions that need a
 restricted-free edge inside one side answer that question from the witness
@@ -23,15 +21,14 @@ edge maintained bottom-up, which exists exactly when such an edge exists.
 
 All pair sequences and vertex pools are singly-linked chains threaded through
 per-solve arenas, so concatenation and popping are O(1) and a union combine
-costs constant time regardless of subtree size.  A summary in shuffle form,
-a restricted leaf pair or a relink's result, is the exception: its full pairs
-stay in their flat list, off the arena, and the next relink and the
-extraction read that list as it is.  A combine that reads or appends to the
-full chain first writes them back onto the arena, so pair slots and ``pof``
-are valid wherever a chain is read.  Summaries are flat mutable records
-(plain lists) owned by their :class:`SolveContext`; inspect them with
-:meth:`SolveContext.snapshot` (see :mod:`pairdom.diagnostics`).  Combines
-consume their inputs.
+costs constant time regardless of subtree size.  A relink's result is the
+exception: its full pairs stay in their flat list, off the arena, and the
+next relink and the extraction read that list as it is.  A combine that
+reads or appends to the full chain first writes them back onto the arena,
+so pair slots and ``pof`` are valid wherever a chain is read.  Summaries are
+flat mutable records (plain lists) owned by their :class:`SolveContext`;
+inspect them with :meth:`SolveContext.snapshot` (see
+:mod:`pairdom.diagnostics`).  Combines consume their inputs.
 """
 
 from __future__ import annotations
@@ -79,10 +76,9 @@ _WR, _WF = 16, 17  # witness restricted-free edge inside the subtree (-1 none)
 # (-1 none); tie-breaks compare their labels.
 _XR, _XF = 18, 19
 _CASE = 20  # tag of the rule that produced this summary
-# Shuffle form: a restricted leaf pair or a relink's result keeps its full
-# pairs out of the arena, as one flat list [u1, v1, u2, v2, ...] in chain
-# order; _KH/_KT are then -1 and those vertices' pof is stale.  None when the
-# full pairs are on the chain.
+# A relink's result keeps its full pairs out of the arena, as one flat list
+# [u1, v1, u2, v2, ...] in chain order; _KH/_KT are then -1 and those
+# vertices' pof is stale.  None when the full pairs are on the chain.
 _KF = 21
 # The chain and pool helpers take a head slot: its tail is the next slot, and
 # a pair chain's count sits at half its head slot (_KH >> 1 == _KC, ...).
@@ -125,10 +121,9 @@ class SolveContext:
         # it straight to the pair that replaces it, and destroyed pairs put
         # theirs on the free list.  A pair removed from the middle of a chain
         # is marked dead by pu[pid] = -1; walkers skip it and free its slot.
-        # A restricted leaf pair takes no slot, and a relink frees its sides'
-        # slots: both keep their pairs in the summary's _KF list, which gets
-        # slots only when another combine writes it back.  A perfect join
-        # with every vertex restricted leaves the arena empty.
+        # A relink frees its sides' slots and keeps the pairs in the
+        # summary's _KF list; they get slots again only when another combine
+        # writes them back.
         self.pu: list[int] = []
         self.pv: list[int] = []
         self.pn: list[int] = []
@@ -407,14 +402,19 @@ class SolveContext:
         l[_KC] *= 2
 
     def _flat_fulls(self, s: NodeSummary) -> list[int]:
-        """The flat endpoint list of s's full chain, walked once; its slots,
-        dead ones included, go to the free list and the chain is left
-        empty."""
+        """The flat endpoint list of s's full chain, which holds a live
+        pair, walked once; its slots, dead ones included, go to the free
+        list and the chain is left empty.  A one-slot chain, such as a
+        restricted leaf pair's, is read without the walk."""
         pu, pv, pn = self.pu, self.pv, self.pn
+        pid = s[_KH]
+        if pid == s[_KT]:
+            self.free_pids.append(pid)
+            s[_KH] = s[_KT] = -1
+            return [pu[pid], pv[pid]]
         free = self.free_pids.append
         f = []
         add = f.append
-        pid = s[_KH]
         while pid >= 0:
             u = pu[pid]
             if u >= 0:  # else dead
@@ -603,11 +603,6 @@ class SolveContext:
     def _leaf2_joint(self, u: int, v: int) -> NodeSummary:
         """Join of two leaves: exactly one cross pair, nothing pooled.
 
-        A full pair is the shuffle of two one-vertex lists, so it is
-        returned in shuffle form, [u, v] in _KF, and takes no slot; the next
-        relink reads that list as it is.  A semi or free pair goes on the
-        arena.
-
         This is part of the frozen tie-breaking, not a shortcut for
         combine_joint on two leaf summaries: in the free-cross case the
         generic join leaves both endpoints claimed in the free pool, where
@@ -618,11 +613,8 @@ class SolveContext:
         xu, xv = lab[u], lab[v]
         fu = self.rflags[xu]
         fv = self.rflags[xv]
-        if fu and fv:
-            return [2, 2, 1, 0, 0, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-                    0, -1, -1, u if xu < xv else v, -1, "balanced-cross", [u, v]]
-        if fv:
-            u, v, xu, xv, fu = v, u, xv, xu, fv  # restricted endpoint first
+        if fv and not fu:
+            u, v, xu, xv, fu, fv = v, u, xv, xu, fv, fu  # restricted endpoint first
         pu, pv, pn = self.pu, self.pv, self.pn
         free = self.free_pids
         if free:
@@ -637,6 +629,9 @@ class SolveContext:
             pn.append(-1)
         self.pof[u] = pid
         self.pof[v] = pid
+        if fv:
+            return [2, 2, 1, 0, 0, pid, pid, -1, -1, -1, -1, -1, -1, -1, -1,
+                    0, -1, -1, u if xu < xv else v, -1, "balanced-cross", None]
         if fu:
             return [2, 1, 0, 1, 0, -1, -1, pid, pid, -1, -1, -1, -1, -1, -1,
                     0, u, v, u, v, "cover-right", None]

@@ -28,7 +28,7 @@ from pairdom import (
 )
 from pairdom.cli import format_solution
 from pairdom.cotree import JOIN, LEAF
-from pairdom.solver import _FH, _KC, _KF, _KH, _NR, _NV, _RH, _SH
+from pairdom.solver import _FC, _FH, _KC, _KF, _KH, _KT, _NR, _NV, _RH, _SH
 from conftest import random_instance_params
 
 
@@ -482,15 +482,14 @@ class TestLeafBuilders:
 
 
 def _spill_and_cross(self, l, r):
-    """What ``_relink_fulls`` replaces: spill both sides, then cross.  A
-    side in shuffle form (a restricted leaf pair) is written back first,
-    as every combine that reads the arena does."""
-    for s in (l, r):
-        if s[_KF] is not None:
-            self._write_back(s)
+    """What ``_relink_fulls`` replaces: spill both sides, then cross.  The
+    cross empties both restricted pools and leaves no free pair, which is
+    why the relink joins only the free pools and skips the free-pair
+    guard."""
     self._spill(l)
     self._spill(r)
     self._cross(l, r, l[_NR], _KH, _RH)
+    assert l[_RH] < 0 and r[_RH] < 0 and l[_FC] == r[_FC] == 0
 
 
 def _solution_text(tree, restricted):
@@ -581,19 +580,16 @@ class TestRelinkFulls:
     counts, and the solution text."""
 
     @staticmethod
-    def compare(tree, restricted, monkeypatch, name="_relink_fulls",
-                reference=_spill_and_cross):
-        """The fold equals a reference fold in which the method ``name`` is
-        ``reference``, node by node and in the solution text."""
-        ref_ctx = SolveContext(tree.leaf_count, restricted)
-        setattr(ref_ctx, name, partial(reference, ref_ctx))
-        got = _fold_views(tree, restricted, True)
-        want = _fold_views(tree, restricted, True, ref_ctx)
-        for node, (a, b) in enumerate(zip(got, want)):
-            assert a == b, f"node {node} of {len(got)}"
+    def compare(tree, restricted, monkeypatch):
+        reference = SolveContext(tree.leaf_count, restricted)
+        reference._relink_fulls = partial(_spill_and_cross, reference)
+        relinked = _fold_views(tree, restricted, True)
+        spilled = _fold_views(tree, restricted, True, reference)
+        for node, (a, b) in enumerate(zip(relinked, spilled)):
+            assert a == b, f"node {node} of {len(relinked)}"
         text = _solution_text(tree, restricted)
         with monkeypatch.context() as m:
-            m.setattr(SolveContext, name, reference)
+            m.setattr(SolveContext, "_relink_fulls", _spill_and_cross)
             assert _solution_text(tree, restricted) == text
 
     @pytest.mark.parametrize("join_bias", [0.5, 0.8])
@@ -645,10 +641,8 @@ class TestRelinkFulls:
         for m in (2, 4, 8, 16, 32, 64):
             text, restricted = build(m)
             tree = parse_cotree(text)
-            # The reference fold writes back every restricted leaf pair it
-            # spills, so only the solve below is counted.
-            self.compare(tree, restricted, monkeypatch)
             write_backs.clear()
+            self.compare(tree, restricted, monkeypatch)
             assert solve(tree, restricted).case_trace == case
             if pools_only:
                 assert write_backs == [], f"m={m}"
@@ -668,11 +662,10 @@ class TestRelinkFulls:
             text, restricted = _free_leaf_under_each_side(m)
             tree = parse_cotree(text)
             relinks.clear()
-            write_backs.clear()
             assert solve(tree, restricted).case_trace == "balanced-cross"
             assert len(relinks) == m // 2 - 1
-            assert write_backs == [], f"m={m}"
             self.compare(tree, restricted, monkeypatch)
+            assert write_backs == [], f"m={m}"
 
     @pytest.mark.parametrize("join_bias", [0.5, 0.8])
     @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
@@ -701,26 +694,36 @@ class TestRelinkFulls:
         assert any(seen) == (density > 0)
 
     def test_perfect_join_stays_off_the_arena(self):
-        # R = V: every leaf pair starts in shuffle form and every join above
-        # them relinks, so no pair ever takes a slot.
+        # R = V: every join above the leaf pairs relinks, and the first
+        # flattens both leaf pairs' slots, which the next leaf pairs reuse.
+        # A relink that walked or wrote the arena would grow it.
         n = 1 << 10
         ctx = SolveContext(n, range(n))
         root = ctx.run(parse_cotree(_perfect_join_text(0, n)))
         assert sorted(root[_KF]) == list(range(n))
-        assert len(ctx.pu) == 0
-        assert ctx.free_pids == []
+        assert len(ctx.pu) == 2
+        assert sorted(ctx.free_pids) == [0, 1]
 
     @pytest.mark.parametrize("shuffled", [True, False], ids=["shuffle-form", "arena"])
     def test_unequal_lists_raise(self, shuffled):
-        # Two full pairs on the left, in shuffle form or written back onto
-        # the arena; a restricted leaf pair, in shuffle form, on the right.
         ctx = SolveContext(6, range(6))
-        l = ctx.combine_joint(ctx._leaf2_joint(0, 1), ctx._leaf2_joint(2, 3))
-        if not shuffled:
-            ctx._write_back(l)
+        combine = ctx.combine_joint if shuffled else ctx.combine_union
+        l = combine(ctx._leaf2_joint(0, 1), ctx._leaf2_joint(2, 3))
         assert (l[_KF] is not None) == shuffled
         with pytest.raises(SolverInternalError, match="unequal length"):
             ctx._relink_fulls(l, ctx._leaf2_joint(4, 5))
+
+    def test_flat_fulls_frees_every_slot(self):
+        # A leaf pair's one slot is read without the walk; a longer chain
+        # is walked past its dead slot.  Both chains end empty.
+        ctx = SolveContext(6, range(6))
+        leaf = ctx._leaf2_joint(0, 1)
+        assert ctx._flat_fulls(leaf) == [0, 1]
+        assert leaf[_KH] == leaf[_KT] == -1 and ctx.free_pids == [0]
+        s = ctx.combine_union(ctx._leaf2_joint(2, 3), ctx._leaf2_joint(4, 5))
+        ctx.pu[s[_KH]] = -1
+        assert ctx._flat_fulls(s) == [4, 5]
+        assert s[_KH] == s[_KT] == -1 and sorted(ctx.free_pids) == [0, 1]
 
     def test_snapshot_leaves_a_shuffled_summary_as_it_is(self):
         ctx = SolveContext(8, range(8))
@@ -736,116 +739,6 @@ class TestRelinkFulls:
         assert view.full_pairs == ((0, 4), (2, 6), (1, 5), (3, 7))
         assert [ctx.pu, ctx.pv, ctx.pn, ctx.pof, ctx.free_pids] == arena
         assert s[_KF] == flat and s[_KH] == -1
-
-
-_leaf2_joint = SolveContext._leaf2_joint
-
-
-def _leaf2_on_arena(self, u, v):
-    """``_leaf2_joint`` as it was before a restricted leaf pair started in
-    shuffle form: every leaf pair takes an arena slot at once."""
-    lab = self.labels
-    xu, xv = lab[u], lab[v]
-    fu, fv = self.rflags[xu], self.rflags[xv]
-    if fv and not fu:
-        u, v, xu, xv, fu, fv = v, u, xv, xu, fv, fu  # restricted endpoint first
-    if self.free_pids:
-        pid = self.free_pids.pop()
-        self.pu[pid], self.pv[pid], self.pn[pid] = u, v, -1
-    else:
-        pid = len(self.pu)
-        self.pu.append(u)
-        self.pv.append(v)
-        self.pn.append(-1)
-    self.pof[u] = self.pof[v] = pid
-    if fv:
-        return [2, 2, 1, 0, 0, pid, pid, -1, -1, -1, -1, -1, -1, -1, -1,
-                0, -1, -1, u if xu < xv else v, -1, "balanced-cross", None]
-    if fu:
-        return [2, 1, 0, 1, 0, -1, -1, pid, pid, -1, -1, -1, -1, -1, -1,
-                0, u, v, u, v, "cover-right", None]
-    return [2, 0, 0, 0, 1, -1, -1, -1, -1, pid, pid, -1, -1, -1, -1,
-            0, -1, -1, -1, u if xu < xv else v, "free-cross", None]
-
-
-@pytest.fixture
-def shuffled_leaf_pairs(monkeypatch):
-    """Every restricted leaf pair that ``_leaf2_joint`` returns in shuffle
-    form during the test, as its flat list."""
-    calls = []
-
-    def recorded(self, u, v):
-        s = _leaf2_joint(self, u, v)
-        if s[_KF] is not None:
-            calls.append(list(s[_KF]))
-        return s
-
-    monkeypatch.setattr(SolveContext, "_leaf2_joint", recorded)
-    return calls
-
-
-# One restricted leaf pair handed to each reader of a summary: (text,
-# restricted, the root's case, the flat-list lengths written back).
-_LEAF_PAIR_READERS = {
-    "union": ("(+ (* 0 1) (* 2 3))", range(4), "union", [2, 2]),
-    # _join_leaf only pools the leaf.
-    "leaf-free": ("(* (* 0 1) 2)", [0, 1], "keep-full", []),
-    "leaf-restricted": ("(* (* 0 1) 2)", range(3), "all-restricted-odd", []),
-    # _join_leaf appends a full pair to the chain.
-    "cover-right": ("(* (* (* 0 1) 2) 3)", range(4), "cover-right", [2]),
-    # combine_joint without a relink: an unequal join, and a balanced cross
-    # whose other side holds no full pair.
-    "unequal-join": ("(* (* 0 1) (* 2 3))", [0, 1, 2], "deficit-odd-witness", [2]),
-    "balanced-spill": ("(* (* 0 1) (+ 2 3))", range(4), "balanced-cross", [2]),
-    # Extraction reads the root's flat list.
-    "extract": ("(* 0 1)", [0, 1], "balanced-cross", []),
-}
-
-
-class TestLeafPairsInShuffleForm:
-    """A join of two restricted leaves returns its pair in shuffle form.
-    The fold equals one whose leaf pairs go onto the arena at once: every
-    node's snapshot and claimed counts, and the solution text."""
-
-    @staticmethod
-    def compare(tree, restricted, monkeypatch):
-        TestRelinkFulls.compare(tree, restricted, monkeypatch, "_leaf2_joint", _leaf2_on_arena)
-
-    @pytest.mark.parametrize("join_bias", [0.5, 0.8])
-    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
-    def test_random_trees(self, shuffled_leaf_pairs, monkeypatch, join_bias, density):
-        for seed in range(400):
-            n = 2 + seed % 47
-            tree = random_cotree(n, join_bias, seed)
-            self.compare(tree, random_restricted(n, density, seed + 1), monkeypatch)
-        assert bool(shuffled_leaf_pairs) == (density > 0)
-
-    @pytest.mark.parametrize("all_restricted", [True, False], ids=["R=V", "R=empty"])
-    def test_perfect_join_trees(self, shuffled_leaf_pairs, monkeypatch, all_restricted):
-        for depth in range(1, 8):
-            n = 1 << depth
-            tree = parse_cotree(_perfect_join_text(0, n))
-            self.compare(tree, range(n) if all_restricted else [], monkeypatch)
-        assert bool(shuffled_leaf_pairs) == all_restricted
-
-    @pytest.mark.parametrize("reader", sorted(_LEAF_PAIR_READERS))
-    def test_each_reader(self, shuffled_leaf_pairs, write_backs, monkeypatch, reader):
-        text, restricted, case, written = _LEAF_PAIR_READERS[reader]
-        tree = parse_cotree(text)
-        self.compare(tree, restricted, monkeypatch)
-        shuffled_leaf_pairs.clear()
-        write_backs.clear()
-        sol = solve(tree, restricted)
-        assert sol.case_trace == case
-        assert shuffled_leaf_pairs
-        assert write_backs == written
-        ctx = SolveContext(tree.leaf_count, restricted)
-        root = ctx.run(tree)
-        ctx.check_invariants(root)
-        _assert_every_slot_accounted(ctx, root)
-        if reader == "extract":
-            assert format_solution(sol) == "beta 2\nkfs 1 0 0\npair 0 1 full\n"
-            assert len(ctx.pu) == 0
 
 
 class TestExemplars:
