@@ -83,10 +83,9 @@ def _walk_pairs(
 def snapshot(ctx: SolveContext, summ: NodeSummary) -> SummaryView:
     """Non-destructive readable view of a summary record of ``ctx``.
 
-    A summary in shuffle form (a restricted leaf pair or a relink's
-    result) keeps its full pairs in a flat list off the arena; they are
-    read from there and never written back, since a write-back would
-    change what the next combine sees.
+    A relink's result keeps its full pairs in a flat list off the arena;
+    they are read from there and never written back, since a write-back
+    would change what the next combine sees.
     """
     return SummaryView(
         vertex_count=summ[_NV],
