@@ -81,24 +81,24 @@ class P4Witness(NamedTuple):
 class Cotree:
     """Rooted strictly-binary union/join tree over leaves ``0..leaf_count-1``.
 
-    ``kind[i]`` is LEAF/UNION/JOIN; for a leaf, ``a[i]`` is its vertex id and
-    ``b[i]`` is -1; for an internal node, ``a[i]``/``b[i]`` are the child
-    node indices.  ``a`` is the only store of the leaf labels, so writing
+    Every tree is stored in the postfix form: ``kind`` in left-first
+    postorder (each subtree a contiguous index range ending at its root, the
+    left one first, so ``root`` is the last index), and in ``a`` the leaf
+    labels with -1 at every internal node.  The kinds fix the shape, so the
+    first read of ``a`` or ``b`` derives the child indices: ``a[i]``/``b[i]``
+    are then the children of internal node ``i``, and ``b[i]`` is -1 at a
+    leaf.  No walker in the package reads them; all read :meth:`leaf_labels`
+    and the kinds.  ``a`` is the only store of the leaf labels, so writing
     ``a[i]`` at a leaf relabels it for every reader.  Instances are
     otherwise immutable by convention after construction.
 
-    Every builder in this module stores the postfix form, and such a tree is
-    :attr:`postordered`: ``kind`` in left-first postorder (each subtree a
-    contiguous index range ending at its root, the left one first, so the
-    root is last), -1 in ``a`` at every internal node, and ``b`` None.  The
-    kinds fix the shape, so the first read of ``a`` or ``b`` derives the
-    child indices; no walker in the package reads them, all read
-    :meth:`leaf_labels` and the kinds instead.  An arena built by hand with
-    both child arrays may be in any order; ``_in_postorder`` copies it into
-    the postfix form.
+    A builder passes ``b=None`` and its lists become the tree's.  An arena
+    built by hand with both child arrays, in any node order, is checked
+    once (see :func:`_postfix`) and copied into the postfix form; the
+    caller's lists are not touched.
     """
 
-    __slots__ = ("kind", "_a", "_b", "root", "leaf_count", "_postordered")
+    __slots__ = ("kind", "_a", "_b", "root", "leaf_count")
 
     def __init__(
         self,
@@ -108,18 +108,14 @@ class Cotree:
         root: int,
         leaf_count: int,
     ) -> None:
+        if b is not None:
+            kind, a = _postfix(kind, a, b, root, leaf_count)
+            root = len(kind) - 1
         self.kind = kind
         self._a = a
-        self._b = b
+        self._b: Optional[list[int]] = None
         self.root = root
         self.leaf_count = leaf_count
-        self._postordered = b is None
-
-    @property
-    def postordered(self) -> bool:
-        """Whether the tree was built in the postfix form (without child
-        arrays); deriving ``a`` and ``b`` does not change it."""
-        return self._postordered
 
     @property
     def a(self) -> list[int]:
@@ -151,67 +147,77 @@ class Cotree:
         self._b = b
 
     def leaf_labels(self) -> list[int]:
-        """The leaf labels in index order (left to right when postordered),
-        read off ``a`` without deriving any child index."""
+        """The leaf labels left to right, read off ``a`` without deriving
+        any child index."""
         return list(compress(self._a, map(not_, self.kind)))
 
     def postorder(self) -> list[int]:
-        """Node indices, children before parents, left subtree first."""
-        if self.postordered:
-            return list(range(len(self.kind)))
-        return self._traverse()
-
-    def _traverse(self) -> list[int]:
-        out: list[int] = []
-        stack = [self.root]
-        kind, a, b = self.kind, self.a, self.b
-        push, pop, emit = stack.append, stack.pop, out.append
-        while stack:
-            i = pop()
-            emit(i)
-            if kind[i] != LEAF:
-                push(a[i])
-                push(b[i])
-        out.reverse()
-        return out
+        """Node indices, children before parents, left subtree first: the
+        index order itself.  Only perfbench's traced ``cotree.postorder``
+        span calls it."""
+        return list(range(len(self.kind)))
 
     def validate(self) -> None:
-        """Check structural invariants; raises ``ValueError`` on violation."""
-        if self.postordered:
-            # In a postfix each internal node takes two finished subtrees.
-            depth = 0
-            for k in self.kind:
-                depth += 1 if k == LEAF else -1
-                if depth < 1:
-                    break
-            if depth != 1 or self.root != len(self.kind) - 1:
-                raise ValueError("kinds are not a left-first postorder rooted at the end")
-        seen_parent = [0] * len(self.kind)
-        leaves = []
-        reached = 0
-        order = self._traverse()
-        for i in order:
-            reached += 1
-            if self.kind[i] == LEAF:
-                leaves.append(self.a[i])
-                if self.b[i] != -1:
-                    raise ValueError(f"leaf node {i} has a right child")
-            else:
-                for c in (self.a[i], self.b[i]):
-                    if not 0 <= c < len(self.kind):
-                        raise ValueError(f"node {i} has dangling child {c}")
-                    seen_parent[c] += 1
-        if reached != len(self.kind):
-            raise ValueError("arena contains nodes unreachable from the root")
-        if seen_parent[self.root] != 0 or any(
-            c != 1 for i, c in enumerate(seen_parent) if i != self.root
-        ):
-            raise ValueError("tree is not single-parented")
-        if sorted(leaves) != list(range(self.leaf_count)):
+        """Check that the kinds are a postfix rooted at the last index and
+        the leaf labels are exactly ``0..leaf_count-1``; raises
+        ``ValueError`` on violation.  Derives no child index."""
+        # In a postfix each internal node takes two finished subtrees.
+        depth = 0
+        for k in self.kind:
+            depth += 1 if k == LEAF else -1
+            if depth < 1:
+                break
+        if depth != 1 or self.root != len(self.kind) - 1 or len(self._a) != len(self.kind):
+            raise ValueError("kinds are not a left-first postorder rooted at the end")
+        if sorted(self.leaf_labels()) != list(range(self.leaf_count)):
             raise ValueError("leaf labels are not exactly 0..leaf_count-1")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Cotree(leaves={self.leaf_count}, nodes={len(self.kind)})"
+
+
+def _postfix(
+    kind: Sequence[int], a: Sequence[int], b: Sequence[int], root: int, leaf_count: int
+) -> tuple[list[int], list[int]]:
+    """The kinds and leaf labels (-1 at internal nodes) of a child-array
+    arena, in left-first postorder; raises ``ValueError`` unless every node
+    is reached from ``root`` exactly once through in-range children, no
+    leaf has a right child and the arena holds ``2 * leaf_count - 1``
+    nodes.  A node reached twice ends the walk, so a cycle cannot loop."""
+    nodes = len(kind)
+    if not (len(a) == len(b) == nodes == 2 * leaf_count - 1 and 0 <= root < nodes):
+        raise ValueError(
+            f"arena of {nodes}/{len(a)}/{len(b)} nodes rooted at {root} "
+            f"cannot hold {leaf_count} leaves"
+        )
+    # Node, right subtree, left subtree; reversed, left-first postorder.
+    out_kind: list[int] = []
+    out_a: list[int] = []
+    seen = bytearray(nodes)
+    stack = [root]
+    push, pop = stack.append, stack.pop
+    while stack:
+        i = pop()
+        if seen[i]:
+            raise ValueError(f"node {i} is reached twice from the root")
+        seen[i] = 1
+        k = kind[i]
+        out_kind.append(k)
+        if k == LEAF:
+            if b[i] != -1:
+                raise ValueError(f"leaf node {i} has a right child")
+            out_a.append(a[i])
+        else:
+            out_a.append(-1)
+            for c in (a[i], b[i]):
+                if not 0 <= c < nodes:
+                    raise ValueError(f"node {i} has dangling child {c}")
+                push(c)
+    if len(out_kind) != nodes:
+        raise ValueError("arena contains nodes unreachable from the root")
+    out_kind.reverse()
+    out_a.reverse()
+    return out_kind, out_a
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +361,6 @@ def _offending_leaf_offset(text: str, n: int) -> int:
 
 def serialize_cotree(tree: Cotree) -> str:
     """Binary s-expression text; ``parse_cotree`` round-trips it exactly."""
-    tree = _in_postorder(tree)
     # The postfix read backwards is a node, its right subtree, then its left
     # one: the text's tokens in reverse.  ``pending`` holds each open node's
     # opening token and, while its right subtree is open, the space before
@@ -389,7 +394,6 @@ def materialize(tree: Cotree, edge_cap: int = DEFAULT_EDGE_CAP) -> Graph:
     against ``edge_cap`` before any adjacency row is allocated, so an
     accidental dense join fails fast instead of exhausting memory.
     """
-    tree = _in_postorder(tree)
     n = tree.leaf_count
     leaf_order = tree.leaf_labels()
 
@@ -439,9 +443,8 @@ def verify_on_tree(
     Two leaves are adjacent exactly when their lowest common ancestor is a
     join node, and a vertex is dominated exactly when it is matched or some
     join ancestor has a matched vertex under the child that does not contain
-    it.  Both are decided in near-linear time over the postordered arena.
+    it.  Both are decided in near-linear time over the arena.
     """
-    tree = _in_postorder(tree)
     return _verification_report(
         tree.leaf_count,
         restricted,
@@ -454,7 +457,7 @@ def verify_on_tree(
 def _lca_is_join(tree: Cotree, pairs: list[tuple[int, int]]) -> list[bool]:
     """Whether each pair of distinct leaves has a join node as its LCA.
 
-    ``tree`` is postordered, so at index ``i`` the nodes below ``i`` are
+    In index order (left-first postorder) the nodes below ``i`` are
     finished and the ancestors of node ``i`` are unfinished.  Tarjan's
     offline LCA over the arena in index order: a pair is answered at
     whichever of its leaves comes second, and the LCA is then the lowest
@@ -507,12 +510,12 @@ def _lca_is_join(tree: Cotree, pairs: list[tuple[int, int]]) -> list[bool]:
 def _dominates(tree: Cotree, mark: bytearray) -> bool:
     """Whether the leaves flagged in ``mark`` dominate the tree's graph.
 
-    ``tree`` is postordered.  Bottom-up, count the marked leaves under each
-    node; then top-down, a child sees a mark when its parent does or its
-    parent is a join whose other child holds one.  An unmarked leaf that
-    sees no mark is undominated.  Both walks are stack passes over the
-    kinds: a node's right child is the node just before it, and its left
-    child holds the rest of its count.
+    Bottom-up, count the marked leaves under each node; then top-down, a
+    child sees a mark when its parent does or its parent is a join whose
+    other child holds one.  An unmarked leaf that sees no mark is
+    undominated.  Both walks are stack passes over the kinds: a node's
+    right child is the node just before it, and its left child holds the
+    rest of its count.
     """
     kind, labels = tree.kind, tree._a  # labels are read at leaves only
     below: list[int] = []
@@ -664,23 +667,24 @@ def recognize(graph: Graph) -> Union[Cotree, P4Witness]:
     adjset = [set(row) for row in adj]
     active = bytearray(n)
 
+    # The nodes are stored in right-first preorder, each before its right
+    # subtree and that before its left one, and reversed at the end into
+    # left-first postorder.  A split into parts p0..pk is the left-fold
+    # chain (..(p0 op p1) op ..) op pk, whose top node is stored at once;
+    # the parts are explored last first, and each inner chain node waits on
+    # the stack, as its kind, between its right operand and the rest of the
+    # chain.  Subsets wait on the stack as lists.
     kind: list[int] = []
-    arena_a: list[int] = []
-    arena_b: list[int] = []
-
-    def new_node(k: int, a: int, b: int) -> int:
-        kind.append(k)
-        arena_a.append(a)
-        arena_b.append(b)
-        return len(kind) - 1
-
-    # Work stack of (subset, parent node, which side); parent -1 = root.
-    root = -1
-    stack: list[tuple[list[int], int, int]] = [(sorted(range(n)), -1, 0)]
+    labels: list[int] = []
+    stack: list[Union[list[int], int]] = [sorted(range(n))]
     while stack:
-        sub, parent, side = stack.pop()
-        if len(sub) == 1:
-            node = new_node(LEAF, sub[0], -1)
+        sub = stack.pop()
+        if type(sub) is int:
+            kind.append(sub)
+            labels.append(-1)
+        elif len(sub) == 1:
+            kind.append(LEAF)
+            labels.append(sub[0])
         else:
             for v in sub:
                 active[v] = 1
@@ -690,47 +694,17 @@ def recognize(graph: Graph) -> Union[Cotree, P4Witness]:
                 parts = _co_components(sub, adjset)
                 op = JOIN
             if len(parts) == 1:
-                witness = _find_p4(sub, graph, adjset)
-                return witness
+                return _find_p4(sub, graph, adjset)
             for v in sub:
                 active[v] = 0
-            # Left-fold chain over the parts: parts[0] op parts[1], then op
-            # parts[2], ...  Chain nodes are allocated now; each part becomes
-            # a pending task filling the prepared slot.
-            chain = [new_node(op, -1, -1) for _ in range(len(parts) - 1)]
-            for idx in range(1, len(chain)):
-                arena_a[chain[idx]] = chain[idx - 1]
-            node = chain[-1]
-            stack.append((parts[0], chain[0], 0))
-            stack.append((parts[1], chain[0], 1))
-            for idx in range(2, len(parts)):
-                stack.append((parts[idx], chain[idx - 1], 1))
-        if parent < 0:
-            root = node
-        elif side == 0:
-            arena_a[parent] = node
-        else:
-            arena_b[parent] = node
-
-    return _in_postorder(Cotree(kind, arena_a, arena_b, root, n))
-
-
-def _in_postorder(tree: Cotree) -> Cotree:
-    """The tree in the postfix form: ``tree`` itself when it was built that
-    way, else a copy of its kinds and leaf labels in left-first postorder
-    (the caller's arena is left as it is).  The package's only reader of
-    child arrays, and only of a hand-built arena's."""
-    if tree.postordered:
-        return tree
-    kind, a = tree.kind, tree.a
-    order = tree._traverse()
-    return Cotree(
-        [kind[i] for i in order],
-        [a[i] if kind[i] == LEAF else -1 for i in order],
-        None,
-        len(order) - 1,
-        tree.leaf_count,
-    )
+            kind.append(op)
+            labels.append(-1)
+            stack += parts[:2]
+            for part in parts[2:]:
+                stack += (op, part)
+    kind.reverse()
+    labels.reverse()
+    return Cotree(kind, labels, None, len(kind) - 1, n)
 
 
 def random_cotree(n: int, join_bias: float, seed: int) -> Cotree:

@@ -37,7 +37,7 @@ import gc
 from itertools import islice, repeat
 from typing import TYPE_CHECKING, Iterable
 
-from .cotree import Cotree, JOIN, LEAF, UNION, _in_postorder
+from .cotree import Cotree, JOIN, LEAF, UNION
 from .graphs import (
     EdgeClass,
     MPDSolution,
@@ -1072,8 +1072,8 @@ class SolveContext:
 
     def run(self, tree: Cotree) -> NodeSummary:
         """Left-first postorder fold over the whole tree; returns the root
-        summary.  The fold walks the arena of ``_in_postorder(tree)`` in
-        index order, so any other layout is renumbered first, in a copy."""
+        summary.  The fold walks the kinds in index order, which is that
+        postorder."""
         if tree.leaf_count != self.n:
             raise ValueError(
                 f"tree has {tree.leaf_count} leaves, context was built for {self.n}"
@@ -1082,10 +1082,8 @@ class SolveContext:
         # vertices form a contiguous id range and the per-vertex arrays, like
         # the id objects themselves (created together up front), are touched
         # with locality.  Labels only matter for tie-breaks and the output.
-        tree = _in_postorder(tree)
         kind = tree.kind
         self.labels = tree.leaf_labels()
-        del tree  # a renumbered copy's labels are not needed below
         next_id = iter(list(range(self.n))).__next__
         # Leaves ride the value stack as bare vertex ids; a combine whose
         # operand is an int routes through the specialized tiny builders
@@ -1169,13 +1167,11 @@ def solve(tree: Cotree, restricted: RestrictedSet | Iterable[int]) -> MPDSolutio
 
 def _isolated_labels(tree: Cotree) -> list[int]:
     """Sorted labels of the isolated vertices: the leaves with no join
-    ancestor.  A join root has none.  Otherwise one pass over the kinds of
-    the postordered arena keeps, per finished subtree, the labels of its
-    leaves with no join ancestor so far: a union keeps both runs, a join
-    drops them."""
+    ancestor.  A join root has none.  Otherwise one pass over the kinds
+    keeps, per finished subtree, the labels of its leaves with no join
+    ancestor so far: a union keeps both runs, a join drops them."""
     if tree.kind[tree.root] == JOIN:
         return []
-    tree = _in_postorder(tree)
     out: list[int] = []
     starts: list[int] = []  # where each finished subtree's run begins in out
     label = iter(tree.leaf_labels()).__next__

@@ -1,8 +1,10 @@
-"""Arena layout: builders store left-first postorder; other layouts still solve.
+"""Arena layout: every tree is stored in left-first postorder.
 
-``_in_postorder`` returns a postordered arena as it is and renumbers any
-other layout into a postordered copy; the solver walks its result in index
-order, so both layouts must give the same solution text.
+Builders store that postfix directly; an arena built by hand with child
+arrays in any other node order is checked and copied into it once, by the
+constructor, so the caller's lists stay as they were, and both layouts
+must give the same solution text.  A malformed arena raises ``ValueError``
+at construction.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pairdom import (
     solve,
 )
 from pairdom.cli import format_solution
-from pairdom.cotree import JOIN, LEAF, UNION, _in_postorder
+from pairdom.cotree import JOIN, LEAF, UNION
 
 
 def left_first_postorder(tree: Cotree) -> list[int]:
@@ -42,21 +44,26 @@ def left_first_postorder(tree: Cotree) -> list[int]:
     return out
 
 
-def assert_postordered(tree: Cotree) -> None:
-    assert tree.postordered
+def assert_postfix(tree: Cotree) -> None:
+    assert tree._b is None
+    tree.validate()
     assert left_first_postorder(tree) == list(range(len(tree.kind)))
     assert tree.root == len(tree.kind) - 1
-    tree.validate()
-    assert _in_postorder(tree) is tree
 
 
-def relaid(tree: Cotree, order: list[int]) -> Cotree:
-    """The same tree with node ``order[j]`` stored at index ``j``."""
+def relaid_arena(tree: Cotree, order: list[int]) -> tuple[list[int], list[int], list[int], int]:
+    """Kinds, child arrays and root of the same tree with node ``order[j]``
+    stored at index ``j``."""
     pos = {old: new for new, old in enumerate(order)}
     kind = [tree.kind[i] for i in order]
     a = [tree.a[i] if tree.kind[i] == LEAF else pos[tree.a[i]] for i in order]
     b = [-1 if tree.kind[i] == LEAF else pos[tree.b[i]] for i in order]
-    return Cotree(kind, a, b, pos[tree.root], tree.leaf_count)
+    return kind, a, b, pos[tree.root]
+
+
+def relaid(tree: Cotree, order: list[int]) -> Cotree:
+    """The tree built by hand from its arena in node order ``order``."""
+    return Cotree(*relaid_arena(tree, order), tree.leaf_count)
 
 
 def preorder(tree: Cotree) -> list[int]:
@@ -89,37 +96,42 @@ class TestBuildersStorePostorder:
     @given(st.integers(1, 60), st.floats(0, 1), st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
     def test_random_cotree(self, n, bias, seed):
-        assert_postordered(random_cotree(n, bias, seed))
+        assert_postfix(random_cotree(n, bias, seed))
 
     @given(st.integers(1, 60), st.floats(0, 1), st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
     def test_parse_binary_text(self, n, bias, seed):
         text = serialize_cotree(random_cotree(n, bias, seed))
         tree = parse_cotree(text)
-        assert_postordered(tree)
+        assert_postfix(tree)
         assert serialize_cotree(tree) == text
 
     def test_parse_nary_text(self):
         tree = parse_cotree("(+ (* 0 1 2 3) 4 (* 5 (+ 6 7 8)) 9)")
-        assert_postordered(tree)
+        assert_postfix(tree)
         assert serialize_cotree(tree) == (
             "(+ (+ (+ (* (* (* 0 1) 2) 3) 4) (* 5 (+ (+ 6 7) 8))) 9)"
         )
 
     def test_parse_single_leaf(self):
-        assert_postordered(parse_cotree("0"))
+        assert_postfix(parse_cotree("0"))
 
     @given(st.integers(1, 40), st.floats(0, 1), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_recognize(self, n, bias, seed):
         graph = materialize(random_cotree(n, bias, seed))
         tree = recognize(graph)
-        assert_postordered(tree)
+        assert_postfix(tree)
         assert materialize(tree).adj == graph.adj
 
-    def test_hand_built_arena_is_not_assumed_postordered(self):
-        tree = Cotree([LEAF, LEAF, JOIN], [0, 1, 0], [-1, -1, 1], 2, 2)
-        assert not tree.postordered
+    def test_hand_built_arena_is_copied_into_the_postfix(self):
+        # (* 0 (+ 1 2)), stored root first.
+        arena = ([JOIN, LEAF, UNION, LEAF, LEAF], [1, 0, 3, 1, 2], [2, -1, 4, -1, -1])
+        tree = Cotree(*arena, 0, 3)
+        assert (tree.kind, tree._a, tree.root) == ([LEAF, LEAF, LEAF, UNION, JOIN], [0, 1, 2, -1, -1], 4)
+        assert arena == ([JOIN, LEAF, UNION, LEAF, LEAF], [1, 0, 3, 1, 2], [2, -1, 4, -1, -1])
+        assert_postfix(tree)
+        assert serialize_cotree(tree) == "(* 0 (+ 1 2))"
 
     def test_arena_not_in_postorder_is_rejected(self):
         trees = [
@@ -127,6 +139,7 @@ class TestBuildersStorePostorder:
             Cotree([LEAF, JOIN], [0, -1], None, 1, 1),
             Cotree([LEAF, LEAF, JOIN, JOIN], [0, 1, -1, -1], None, 3, 2),
             Cotree([LEAF, LEAF, JOIN], [0, 1, -1], None, 0, 2),  # root not last
+            Cotree([LEAF, LEAF, JOIN], [0, 1], None, 2, 2),  # labels short of the kinds
         ]
         for tree in trees:
             with pytest.raises(ValueError, match="postorder"):
@@ -143,16 +156,16 @@ class TestOtherLayoutsSolveTheSame:
             if rng.random() < 0.5:
                 tree.kind[tree.root] = JOIN
             restricted = random_restricted(n, rng.choice([0.0, 0.3, 0.7, 1.0]), seed + 1)
-            other = relaid(tree, layout(tree))
-            other.validate()
-            assert not other.postordered
-            arena = (other.kind[:], other.a[:], other.b[:])
-            copy = _in_postorder(other)
-            assert_postordered(copy)
-            assert serialize_cotree(copy) == serialize_cotree(tree)
-            assert materialize(copy).adj == materialize(tree).adj
+            arena = relaid_arena(tree, layout(tree))
+            lists = tuple(x[:] if isinstance(x, list) else x for x in arena)
+            other = Cotree(*arena, tree.leaf_count)
+            assert arena == lists
+            assert_postfix(other)
+            assert other.kind == tree.kind
+            assert other.leaf_labels() == tree.leaf_labels()
+            assert serialize_cotree(other) == serialize_cotree(tree)
+            assert materialize(other).adj == materialize(tree).adj
             assert solution_text(other, restricted) == solution_text(tree, restricted)
-            assert (other.kind, other.a, other.b) == arena
 
     def test_level_order_perfect_join_tree(self):
         n = 256
@@ -181,10 +194,38 @@ class TestOtherLayoutsSolveTheSame:
 
     def test_run_leaves_the_callers_arena_unchanged(self):
         # (* 0 (+ 1 2)), stored root first.
-        tree = Cotree([JOIN, LEAF, UNION, LEAF, LEAF], [1, 0, 3, 1, 2], [2, -1, 4, -1, -1], 0, 3)
-        arena = (tree.kind[:], tree.a[:], tree.b[:])
+        kind, a, b = [JOIN, LEAF, UNION, LEAF, LEAF], [1, 0, 3, 1, 2], [2, -1, 4, -1, -1]
+        arena = (kind[:], a[:], b[:])
+        tree = Cotree(kind, a, b, 0, 3)
         ctx = SolveContext(3, [1])
         solution = ctx.extract_solution(ctx.run(tree))
-        assert (tree.kind, tree.a, tree.b, tree.root) == (*arena, 0)
-        assert not tree.postordered
+        assert (kind, a, b) == arena
         assert format_solution(solution) == solution_text(parse_cotree("(* 0 (+ 1 2))"), [1])
+
+
+def malformed_arenas():
+    """Hand-built arenas (kind, a, b, root, leaf count) that are not a tree
+    over their leaves: each with its defect and the error it raises."""
+    # Each defect is one edit of (* 0 (+ 1 2)) stored root first.
+    kind = [JOIN, LEAF, UNION, LEAF, LEAF]
+    yield "self-child", "reached twice", (kind, [1, 0, 2, 1, 2], [2, -1, 4, -1, -1], 0, 3)
+    yield "two-node cycle", "reached twice", (kind, [1, 0, 0, 1, 2], [2, -1, 4, -1, -1], 0, 3)
+    yield "shared child", "reached twice", (kind, [1, 0, 3, 1, 2], [2, -1, 3, -1, -1], 0, 3)
+    yield "child out of range", "dangling child 5", (kind, [1, 0, 3, 1, 2], [2, -1, 5, -1, -1], 0, 3)
+    yield "negative child", "dangling child -1", (kind, [1, 0, -1, 1, 2], [2, -1, 4, -1, -1], 0, 3)
+    yield "unreachable node", "unreachable", (
+        [JOIN, LEAF, LEAF, LEAF, LEAF], [1, 0, 0, 1, 2], [2, -1, -1, -1, -1], 0, 3)
+    yield "leaf with a right child", "right child", (kind, [1, 0, 3, 1, 2], [2, 3, 4, -1, -1], 0, 3)
+    yield "leaf count too small", "cannot hold 2 leaves", (kind, [1, 0, 3, 1, 2], [2, -1, 4, -1, -1], 0, 2)
+    yield "leaf count too large", "cannot hold 4 leaves", (kind, [1, 0, 3, 1, 2], [2, -1, 4, -1, -1], 0, 4)
+    yield "root out of range", "rooted at 5", (kind, [1, 0, 3, 1, 2], [2, -1, 4, -1, -1], 5, 3)
+    yield "short child array", "5/5/4 nodes", (kind, [1, 0, 3, 1, 2], [2, -1, 4, -1], 0, 3)
+
+
+@pytest.mark.parametrize("error, arena", [case[1:] for case in malformed_arenas()],
+                         ids=[case[0] for case in malformed_arenas()])
+def test_malformed_arena_is_rejected_at_construction(error, arena):
+    lists = tuple(x[:] if isinstance(x, list) else x for x in arena)
+    with pytest.raises(ValueError, match=error):
+        Cotree(*arena)
+    assert arena == lists

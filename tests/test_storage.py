@@ -2,10 +2,10 @@
 
 Every builder stores ``kind`` and, in ``a``, the leaf labels (-1 at every
 internal node); the first read of ``a`` or ``b`` derives the child indices.
-The solve, the isolated-vertex check, ``verify_on_tree``, ``materialize``
-and ``serialize_cotree`` must never take that pass, relabelling through
-``tree.a`` must still reach the fold, and the derived arrays must equal a
-recursive reference.
+The solve, the isolated-vertex check, ``verify_on_tree``, ``materialize``,
+``serialize_cotree`` and ``validate`` must never take that pass,
+relabelling through ``tree.a`` must still reach the fold, and the derived
+arrays must equal a recursive reference.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pairdom import (
     verify_on_tree,
 )
 from pairdom.cli import format_solution
-from pairdom.cotree import JOIN, LEAF, UNION, _in_postorder
+from pairdom.cotree import JOIN, LEAF, UNION
 from pairdom.solver import _isolated_labels
 
 
@@ -122,16 +122,16 @@ class TestOneForm:
         assert tree._b is None
         assert recognize(materialize(tree))._b is None
         preorder = Cotree([JOIN, LEAF, UNION, LEAF, LEAF], [1, 0, 3, 1, 2], [2, -1, 4, -1, -1], 0, 3)
-        copy = _in_postorder(preorder)
-        assert copy._b is None and copy.postordered
-        assert (copy.kind, copy._a) == ([LEAF, LEAF, LEAF, UNION, JOIN], [0, 1, 2, -1, -1])
+        assert preorder._b is None
+        assert (preorder.kind, preorder._a) == ([LEAF, LEAF, LEAF, UNION, JOIN], [0, 1, 2, -1, -1])
 
-    def test_postordered_is_read_only_and_survives_the_derive(self):
+    def test_derive_leaves_the_postfix_as_it_was(self):
         tree = parse_cotree("(* 0 (+ 1 2))")
+        kind, labels = tree.kind[:], tree.leaf_labels()
         tree.b
-        assert tree.postordered
-        with pytest.raises(AttributeError):
-            tree.postordered = False
+        assert (tree.kind, tree.leaf_labels(), tree.root) == (kind, labels, 4)
+        tree.validate()
+        assert serialize_cotree(tree) == "(* 0 (+ 1 2))"
 
     def test_materialize_and_serialize_need_no_child_arrays(self):
         for tree in small_trees(60):
@@ -139,6 +139,7 @@ class TestOneForm:
                 patch.setattr(Cotree, "_derive", refuse)
                 text = serialize_cotree(tree)
                 adj = materialize(tree).adj
+                tree.validate()
             assert tree._b is None
             assert text == reference_text(tree)
             assert adj == reference_adj(tree)
@@ -168,9 +169,10 @@ class TestParsedArena:
             want = reference_arena(serialize_cotree(tree))
             assert (tree.kind, tree.a, tree.b, tree.root) == want
 
-    def test_arena_without_child_arrays_is_postordered(self):
-        tree = Cotree([LEAF], [0], None, 0, 1)
-        assert tree.postordered
+    def test_arena_without_child_arrays_is_kept_as_given(self):
+        kind, labels = [LEAF, LEAF, JOIN], [1, 0, -1]
+        tree = Cotree(kind, labels, None, 2, 2)
+        assert tree.kind is kind and tree._a is labels and tree._b is None
         tree.validate()
 
 

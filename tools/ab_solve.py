@@ -3,47 +3,55 @@
 
     python3 tools/ab_solve.py ../base/src/pairdom [src/pairdom]
 
-Both trees load into one process under their own package names.  On the
-library instances of perfbench's two workloads (``perfbench/instances.py``,
-seed 1), each of 40 rounds times one ``solve()`` per copy with
-``time.process_time``, in an order that flips every round, and the first
-round checks that the copies return the same pairs.  Each workload's tree
-is solved as ``parse_cotree(serialize_cotree(tree))``, built once, so both
-copies fold the postfix tree that perfbench's text op parses, with no
-renumbering copy in the timed call.  Prints each copy's median and the
-second's wins.
+The rounds run in two child processes, one after the other.  Each child
+loads both trees under their own package names, the first child copy a
+first and the second child copy b first, so that pooling the two cancels
+the edge a process gives the copy it loads first.  On the library instances
+of perfbench's two workloads (``perfbench/instances.py``, seed 1), each
+child times 20 rounds of one ``solve()`` per copy with
+``time.process_time``, in an order that flips every round, and its first
+round checks that the copies return the same pairs.  Each copy solves its
+own ``parse_cotree`` of the workload's text, built once, so both fold the
+postfix tree that perfbench's text op parses.  Prints, per workload, each
+child's medians, per-round ratio and the second copy's wins, then the
+pooled ones.
 """
 
 import importlib
+import json
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ROUNDS = 40
+ROUNDS = 20  # per child
 # workload -> (family, leaves, shape seed) of perfbench's library instance
 WORKLOADS = {"perfect-join-rv": ("perfect", 2**18, 0), "random-262k": ("random", 2**18, 0)}
 
 
-def main() -> None:
-    if not 2 <= len(sys.argv) <= 3:
-        raise SystemExit(__doc__)
-    trees = [Path(sys.argv[1]), Path(sys.argv[2] if len(sys.argv) == 3 else ROOT / "src" / "pairdom")]
+def child(first: str, trees: list[Path]) -> None:
+    """Time the rounds with copy ``first`` loaded first; print the times of
+    copies a and b per workload as one JSON line."""
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
     from instances import make_restricted, make_tree
-    from pairdom import parse_cotree, serialize_cotree
+    from pairdom import serialize_cotree
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        mods = []
-        for name, src in zip(("pairdom_a", "pairdom_b"), trees):
-            shutil.copytree(src, Path(tmp, name), ignore=shutil.ignore_patterns("__pycache__"))
-            mods.append(importlib.import_module(name))
+        mods = [None, None]
+        for i in (0, 1) if first == "a" else (1, 0):
+            name = "pairdom_" + "ab"[i]
+            shutil.copytree(trees[i], Path(tmp, name), ignore=shutil.ignore_patterns("__pycache__"))
+            mods[i] = importlib.import_module(name)
+        out = {}
         for workload, (family, n, shape_seed) in WORKLOADS.items():
-            tree = parse_cotree(serialize_cotree(make_tree(family, n, shape_seed, 1)))
+            text = serialize_cotree(make_tree(family, n, shape_seed, 1))
+            tree = [mod.parse_cotree(text) for mod in mods]
+            del text
             members = make_restricted(family, n, 1).members()
             sets = [mod.RestrictedSet(n, members) for mod in mods]
             times = [[], []]
@@ -51,17 +59,48 @@ def main() -> None:
                 pairs = []
                 for i in (0, 1) if rnd % 2 == 0 else (1, 0):
                     start = time.process_time()
-                    sol = mods[i].solve(tree, sets[i])
+                    sol = mods[i].solve(tree[i], sets[i])
                     times[i].append(time.process_time() - start)
                     if rnd == 0:
                         pairs.append([(p.u, p.v, p.cls.value) for p in sol.pairs])
                     del sol
                 if rnd == 0 and pairs[0] != pairs[1]:
                     raise SystemExit(f"{workload}: the two copies disagree")
-            wins = sum(b < a for a, b in zip(*times))
-            med = [statistics.median(t) for t in times]
-            print(f"{workload}: a {med[0]:.3f} s, b {med[1]:.3f} s "
-                  f"({med[1] / med[0] - 1:+.1%}), b faster in {wins}/{ROUNDS} rounds")
+            out[workload] = times
+            del tree, sets
+    print(json.dumps(out))
+
+
+def summary(times: list[list[float]]) -> str:
+    """Each copy's median, the median of b's time over a's within a round
+    (which host drift between rounds or children does not move), and b's
+    wins."""
+    a, b = times
+    ratio = statistics.median(y / x for x, y in zip(a, b))
+    wins = sum(y < x for x, y in zip(a, b))
+    return (f"a {statistics.median(a):.3f} s, b {statistics.median(b):.3f} s, "
+            f"b/a per round {ratio - 1:+.1%}, b faster in {wins}/{len(a)} rounds")
+
+
+def main() -> None:
+    if sys.argv[1:2] == ["--child"]:
+        child(sys.argv[2], [Path(p) for p in sys.argv[3:]])
+        return
+    if not 2 <= len(sys.argv) <= 3:
+        raise SystemExit(__doc__)
+    trees = [sys.argv[1], sys.argv[2] if len(sys.argv) == 3 else str(ROOT / "src" / "pairdom")]
+    halves = {}
+    for first in "ab":
+        proc = subprocess.run([sys.executable, __file__, "--child", first, *trees],
+                              stdout=subprocess.PIPE, text=True)
+        if proc.returncode:
+            raise SystemExit(proc.returncode)
+        halves[first] = json.loads(proc.stdout)
+    for workload in WORKLOADS:
+        for first in "ab":
+            print(f"{workload}, {first} loaded first: {summary(halves[first][workload])}")
+        pooled = [halves["a"][workload][i] + halves["b"][workload][i] for i in (0, 1)]
+        print(f"{workload}, pooled: {summary(pooled)}")
 
 
 if __name__ == "__main__":
