@@ -92,10 +92,13 @@ class Cotree:
     ``a[i]`` at a leaf relabels it for every reader.  Instances are
     otherwise immutable by convention after construction.
 
-    A builder passes ``b=None`` and its lists become the tree's.  An arena
-    built by hand with both child arrays, in any node order, is checked
-    once (see :func:`_postfix`) and copied into the postfix form; the
-    caller's lists are not touched.
+    Every arena built by hand is checked once, at construction, and raises
+    ``ValueError`` unless it is a tree over exactly those leaves.  With
+    ``b=None`` the lists must already be the postfix form; they are checked
+    by :meth:`validate` and become the tree's.  With both child arrays, in
+    any node order, the arena is checked and copied into the postfix form
+    by :func:`_postfix`; the caller's lists are not touched.  The package's
+    builders store their postfix through :func:`_built`, unchecked.
     """
 
     __slots__ = ("kind", "_a", "_b", "root", "leaf_count")
@@ -116,6 +119,8 @@ class Cotree:
         self._b: Optional[list[int]] = None
         self.root = root
         self.leaf_count = leaf_count
+        if b is None:
+            self.validate()
 
     @property
     def a(self) -> list[int]:
@@ -158,15 +163,21 @@ class Cotree:
         return list(range(len(self.kind)))
 
     def validate(self) -> None:
-        """Check that the kinds are a postfix rooted at the last index and
-        the leaf labels are exactly ``0..leaf_count-1``; raises
-        ``ValueError`` on violation.  Derives no child index."""
+        """Check that every kind is LEAF, UNION or JOIN, the kinds are a
+        postfix rooted at the last index and the leaf labels are exactly
+        ``0..leaf_count-1``; raises ``ValueError`` on violation.  Derives no
+        child index."""
         # In a postfix each internal node takes two finished subtrees.
         depth = 0
         for k in self.kind:
-            depth += 1 if k == LEAF else -1
-            if depth < 1:
-                break
+            if k == LEAF:
+                depth += 1
+            elif k == UNION or k == JOIN:
+                depth -= 1
+                if depth < 1:
+                    break
+            else:
+                raise ValueError(f"node kind {k!r} is not LEAF, UNION or JOIN")
         if depth != 1 or self.root != len(self.kind) - 1 or len(self._a) != len(self.kind):
             raise ValueError("kinds are not a left-first postorder rooted at the end")
         if sorted(self.leaf_labels()) != list(range(self.leaf_count)):
@@ -181,9 +192,11 @@ def _postfix(
 ) -> tuple[list[int], list[int]]:
     """The kinds and leaf labels (-1 at internal nodes) of a child-array
     arena, in left-first postorder; raises ``ValueError`` unless every node
-    is reached from ``root`` exactly once through in-range children, no
-    leaf has a right child and the arena holds ``2 * leaf_count - 1``
-    nodes.  A node reached twice ends the walk, so a cycle cannot loop."""
+    is reached from ``root`` exactly once through in-range children, every
+    kind is LEAF, UNION or JOIN, no leaf has a right child, no leaf label
+    is out of ``0..leaf_count-1`` or repeated, and the arena holds
+    ``2 * leaf_count - 1`` nodes.  A node reached twice ends the walk, so a
+    cycle cannot loop."""
     nodes = len(kind)
     if not (len(a) == len(b) == nodes == 2 * leaf_count - 1 and 0 <= root < nodes):
         raise ValueError(
@@ -194,6 +207,7 @@ def _postfix(
     out_kind: list[int] = []
     out_a: list[int] = []
     seen = bytearray(nodes)
+    labelled = bytearray(leaf_count)
     stack = [root]
     push, pop = stack.append, stack.pop
     while stack:
@@ -206,18 +220,39 @@ def _postfix(
         if k == LEAF:
             if b[i] != -1:
                 raise ValueError(f"leaf node {i} has a right child")
-            out_a.append(a[i])
-        else:
+            x = a[i]
+            if not 0 <= x < leaf_count or labelled[x]:
+                raise ValueError(
+                    f"leaf node {i} has label {x}: out of 0..{leaf_count - 1} or repeated"
+                )
+            labelled[x] = 1
+            out_a.append(x)
+        elif k == JOIN or k == UNION:
             out_a.append(-1)
             for c in (a[i], b[i]):
                 if not 0 <= c < nodes:
                     raise ValueError(f"node {i} has dangling child {c}")
                 push(c)
+        else:
+            raise ValueError(f"node {i} has kind {k!r}, not LEAF, UNION or JOIN")
     if len(out_kind) != nodes:
         raise ValueError("arena contains nodes unreachable from the root")
     out_kind.reverse()
     out_a.reverse()
     return out_kind, out_a
+
+
+def _built(kind: list[int], a: list[int], leaf_count: int) -> Cotree:
+    """The tree of a builder's postfix, stored as it is.  A builder's
+    output is a postfix over ``0..leaf_count-1`` by construction, so it
+    skips the constructor's check."""
+    tree = object.__new__(Cotree)
+    tree.kind = kind
+    tree._a = a
+    tree._b = None
+    tree.root = len(kind) - 1
+    tree.leaf_count = leaf_count
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +356,7 @@ def parse_cotree(text: str) -> Cotree:
                 _offending_leaf_offset(text, n),
             )
         seen[label] = 1
-    return Cotree(kind, arena_a, None, nodes - 1, n)
+    return _built(kind, arena_a, n)
 
 
 # The error paths below rescan the text, so the parse itself records no
@@ -443,14 +478,15 @@ def verify_on_tree(
     Two leaves are adjacent exactly when their lowest common ancestor is a
     join node, and a vertex is dominated exactly when it is matched or some
     join ancestor has a matched vertex under the child that does not contain
-    it.  Both are decided in near-linear time over the arena.
+    it (:func:`_unseen`).  Both are decided in near-linear time over the
+    arena.
     """
     return _verification_report(
         tree.leaf_count,
         restricted,
         pairs,
         lambda candidates: _lca_is_join(tree, candidates),
-        lambda mark: _dominates(tree, mark),
+        lambda mark: all(mark[x] for x in _unseen(tree, mark)),
     )
 
 
@@ -507,35 +543,46 @@ def _lca_is_join(tree: Cotree, pairs: list[tuple[int, int]]) -> list[bool]:
     return answers
 
 
-def _dominates(tree: Cotree, mark: bytearray) -> bool:
-    """Whether the leaves flagged in ``mark`` dominate the tree's graph.
+def _unseen(tree: Cotree, mark: Optional[bytearray]) -> list[int]:
+    """Sorted labels of the leaves that see no mark through a join
+    ancestor: no join above them holds a leaf flagged in ``mark`` (by
+    label) under its child that does not contain them.  A leaf's
+    neighbours are exactly the leaves on the other sides of its join
+    ancestors, so these are the leaves with no marked neighbour.
+    ``mark=None`` marks every leaf, and the result is the isolated
+    vertices: the leaves with no join ancestor.
 
     Bottom-up, count the marked leaves under each node; then top-down, a
     child sees a mark when its parent does or its parent is a join whose
-    other child holds one.  An unmarked leaf that sees no mark is
-    undominated.  Both walks are stack passes over the kinds: a node's
-    right child is the node just before it, and its left child holds the
-    rest of its count.
+    other child holds one.  Both walks are stack passes over the kinds: a
+    node's right child is the node just before it, and its left child
+    holds the rest of its count.
     """
     kind, labels = tree.kind, tree._a  # labels are read at leaves only
-    below: list[int] = []
-    count = below.append
-    done: list[int] = []  # counts of the finished subtrees awaiting a parent
-    push, pop = done.append, done.pop
-    for k, x in zip(kind, labels):
-        c = mark[x] if k == LEAF else pop() + pop()
-        push(c)
-        count(c)
+    if mark is None:
+        # Any counts that are positive on both sides of every join will do,
+        # and the indices are: a join at i has its right child at i - 1 > 0.
+        below: Sequence[int] = range(len(kind))
+    else:
+        below = []
+        count = below.append
+        done: list[int] = []  # counts of the finished subtrees awaiting a parent
+        push, pop = done.append, done.pop
+        for k, x in zip(kind, labels):
+            c = mark[x] if k == LEAF else pop() + pop()
+            push(c)
+            count(c)
     # Top-down in reverse index order: the root, its right subtree, then its
     # left one.  ``pending`` holds what each subtree root yet to visit sees.
-    pending = [0]
+    out: list[int] = []
+    pending = [False]
     push, pop = pending.append, pending.pop
     for i in range(len(kind) - 1, -1, -1):
         sees = pop()
         k = kind[i]
         if k == LEAF:
-            if not (sees or mark[labels[i]]):
-                return False
+            if not sees:
+                out.append(labels[i])
         elif k == JOIN:
             right = below[i - 1]
             push(sees or right > 0)
@@ -543,7 +590,8 @@ def _dominates(tree: Cotree, mark: bytearray) -> bool:
         else:
             push(sees)
             push(sees)
-    return True
+    out.sort()
+    return out
 
 
 def is_induced_p4(graph: Graph, witness: P4Witness) -> bool:
@@ -704,7 +752,7 @@ def recognize(graph: Graph) -> Union[Cotree, P4Witness]:
                 stack += (op, part)
     kind.reverse()
     labels.reverse()
-    return Cotree(kind, labels, None, len(kind) - 1, n)
+    return _built(kind, labels, n)
 
 
 def random_cotree(n: int, join_bias: float, seed: int) -> Cotree:
@@ -753,7 +801,7 @@ def random_cotree(n: int, join_bias: float, seed: int) -> Cotree:
         else:
             add_kind(-size)
             add_a(-1)
-    return Cotree(kind, arena_a, None, len(kind) - 1, n)
+    return _built(kind, arena_a, n)
 
 
 def random_restricted(n: int, density: float, seed: int) -> RestrictedSet:

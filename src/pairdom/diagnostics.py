@@ -1,8 +1,8 @@
 """Readable views of the solver's summary records, for tests and debugging.
 
-:meth:`SolveContext.snapshot <pairdom.solver.SolveContext.snapshot>` and
-:meth:`~pairdom.solver.SolveContext.check_invariants` delegate here.  No
-CLI command imports this module, so a solve process never compiles it.
+Call ``snapshot(ctx, summ)`` and ``check_invariants(ctx, summ)`` with a
+:class:`~pairdom.solver.SolveContext` and one of its summaries.  No CLI
+command imports this module, so a solve process never compiles it.
 """
 
 from __future__ import annotations

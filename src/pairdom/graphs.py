@@ -25,6 +25,7 @@ import enum
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -325,50 +326,13 @@ def classify_edge(edge: tuple[int, int], restricted: RestrictedSet) -> EdgeClass
     return EdgeClass.FREE
 
 
-def _matching_problems(
-    n: int,
-    pairs: Sequence[tuple[int, int]],
-    are_edges: Callable[[list[tuple[int, int]]], Sequence[bool]],
-) -> list[str]:
-    """All reasons ``pairs`` fails to be a matching (empty = ok).
-
-    ``are_edges`` is called once, with the pairs of two distinct in-range
-    vertices in input order, and answers for each whether it is an edge.
-    """
-    candidates = [
-        (p[0], p[1]) for p in pairs if 0 <= p[0] < n and 0 <= p[1] < n and p[0] != p[1]
-    ]
-    answers = iter(are_edges(candidates))
-    problems = []
-    used = bytearray(n)
-    for p in pairs:
-        u, v = p[0], p[1]
-        if not (0 <= u < n) or not (0 <= v < n):
-            problems.append(f"bad-vertex {u} {v}")
-            continue
-        if u == v:
-            problems.append(f"self-pair {u}")
-            continue
-        if not next(answers):
-            problems.append(f"not-an-edge {min(u, v)} {max(u, v)}")
-        for x in (u, v):
-            if used[x]:
-                problems.append(f"vertex-reused {x}")
-            used[x] = 1
-    return problems
-
-
-def _graph_edges(graph: Graph) -> Callable[[list[tuple[int, int]]], list[bool]]:
-    return lambda pairs: [graph.has_edge(u, v) for u, v in pairs]
-
-
 def is_matching(graph: Graph, pairs: Sequence[tuple[int, int]]) -> bool:
     """True iff every pair is an edge of ``graph`` and no vertex repeats.
 
     Malformed pairs (out-of-range ids, self-pairs) simply yield ``False``;
     use :func:`verify_solution` for the reasons.
     """
-    return not _matching_problems(graph.n, pairs, _graph_edges(graph))
+    return verify_solution(graph, RestrictedSet(graph.n), pairs).is_matching
 
 
 def is_dominating(graph: Graph, vertices: Iterable[int]) -> bool:
@@ -406,8 +370,8 @@ def verify_solution(
         graph.n,
         restricted,
         pairs,
-        _graph_edges(graph),
-        lambda mark: is_dominating(graph, [v for v in range(graph.n) if mark[v]]),
+        lambda candidates: [graph.has_edge(u, v) for u, v in candidates],
+        lambda mark: is_dominating(graph, compress(range(graph.n), mark)),
     )
 
 
@@ -419,31 +383,44 @@ def _verification_report(
     dominates: Callable[[bytearray], bool],
 ) -> VerificationReport:
     """The report of :func:`verify_solution` on an ``n``-vertex graph that
-    is known only through two answers: ``are_edges`` (see
-    :func:`_matching_problems`) and ``dominates``, called once with the
-    0/1 flags of the vertices the in-range pairs touch."""
-    problems = _matching_problems(n, pairs, are_edges)
-    matching_ok = not problems
-
-    k = s = f = 0
-    mark = bytearray(n)
+    is known only through two answers, each asked once.  ``are_edges``
+    gets the pairs of two distinct in-range vertices in input order and
+    answers for each whether it is an edge; ``dominates`` gets the 0/1
+    flags of the vertices the in-range pairs touch.  One loop over the
+    pairs then finds every matching problem, in input order, and the
+    counts."""
+    candidates = [
+        (p[0], p[1]) for p in pairs if 0 <= p[0] < n and 0 <= p[1] < n and p[0] != p[1]
+    ]
+    answers = iter(are_edges(candidates))
+    problems = []
+    used = bytearray(n)  # the vertices of the candidates so far
+    mark = bytearray(n)  # the vertices of the in-range pairs, self-pairs too
+    # A vertex beyond a smaller restricted set is free, as ``in`` says.
+    flags = restricted.flags.ljust(n, b"\0")
+    counts = [0, 0, 0]  # in-range pairs by restricted endpoints: free, semi, full
     for p in pairs:
         u, v = p[0], p[1]
-        if 0 <= u < n and 0 <= v < n:
-            mark[u] = mark[v] = 1
-            c = classify_edge((u, v), restricted)
-            if c is EdgeClass.FULL:
-                k += 1
-            elif c is EdgeClass.SEMI:
-                s += 1
-            else:
-                f += 1
+        if not (0 <= u < n and 0 <= v < n):
+            problems.append(f"bad-vertex {u} {v}")
+            continue
+        mark[u] = mark[v] = 1
+        counts[flags[u] + flags[v]] += 1
+        if u == v:
+            problems.append(f"self-pair {u}")
+            continue
+        if not next(answers):
+            problems.append(f"not-an-edge {min(u, v)} {max(u, v)}")
+        for x in (u, v):
+            if used[x]:
+                problems.append(f"vertex-reused {x}")
+            used[x] = 1
+    f, s, k = counts
+    matching_ok = not problems
 
     dominating_ok = dominates(mark)
     valid = matching_ok and dominating_ok
-    matched = 2 * k + s if matching_ok else sum(
-        1 for v in range(n) if mark[v] and v in restricted
-    )
+    matched = 2 * k + s if matching_ok else sum(compress(flags, mark))
 
     certificate = Certificate.NONE
     if valid:

@@ -27,17 +27,17 @@ next relink and the extraction read that list as it is.  A combine that
 reads or appends to the full chain first writes them back onto the arena,
 so pair slots and ``pof`` are valid wherever a chain is read.  Summaries are
 flat mutable records (plain lists) owned by their :class:`SolveContext`;
-inspect them with :meth:`SolveContext.snapshot` (see
-:mod:`pairdom.diagnostics`).  Combines consume their inputs.
+inspect them with :func:`pairdom.diagnostics.snapshot`.  Combines consume
+their inputs.
 """
 
 from __future__ import annotations
 
 import gc
 from itertools import islice, repeat
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-from .cotree import Cotree, JOIN, LEAF, UNION
+from .cotree import Cotree, JOIN, LEAF, UNION, _unseen
 from .graphs import (
     EdgeClass,
     MPDSolution,
@@ -45,9 +45,6 @@ from .graphs import (
     PairedEdge,
     RestrictedSet,
 )
-
-if TYPE_CHECKING:
-    from .diagnostics import SummaryView
 
 __all__ = [
     "NodeSummary",
@@ -992,7 +989,7 @@ class SolveContext:
             raise SolverInternalError(f"free-pair guard after {case}")
         return l
 
-    # -- extraction and inspection ------------------------------------------
+    # -- extraction ---------------------------------------------------------
 
     def extract_solution(self, summ: NodeSummary) -> MPDSolution:
         """Flatten a summary into a solution.
@@ -1054,19 +1051,6 @@ class SolveContext:
                 vs.append(pv[pid])
             pid = pn[pid]
         return us, vs
-
-    # Inspection lives in ``pairdom.diagnostics``, which no CLI command
-    # imports.
-
-    def snapshot(self, summ: NodeSummary) -> SummaryView:
-        """Non-destructive readable view of a summary record."""
-        from .diagnostics import snapshot
-        return snapshot(self, summ)
-
-    def check_invariants(self, summ: NodeSummary) -> None:
-        """Verify the counting identities of a summary (test support)."""
-        from .diagnostics import check_invariants
-        check_invariants(self, summ)
 
     # -- driver ---------------------------------------------------------------
 
@@ -1140,16 +1124,18 @@ def solve(tree: Cotree, restricted: RestrictedSet | Iterable[int]) -> MPDSolutio
 
     Raises :class:`NoSolutionError` when the graph has isolated vertices
     (in particular for a single-leaf tree); they are read off the tree
-    before any fold and listed, sorted, in the error's ``isolated``.
+    before any fold and listed, sorted, in the error's ``isolated``.  A
+    join root has none.
     """
     ctx = SolveContext(tree.leaf_count, restricted)
-    isolated = _isolated_labels(tree)
-    if isolated:
-        raise NoSolutionError(
-            "no solution: the graph has isolated vertices "
-            + " ".join(str(v) for v in isolated),
-            isolated=isolated,
-        )
+    if tree.kind[tree.root] != JOIN:
+        isolated = _unseen(tree, None)
+        if isolated:
+            raise NoSolutionError(
+                "no solution: the graph has isolated vertices "
+                + " ".join(str(v) for v in isolated),
+                isolated=isolated,
+            )
     # Summaries and rows are acyclic, so nothing waits on the cyclic
     # collector; pausing it spares the fold and extraction its passes over
     # their many young objects.  The exit path only ever re-enables: when
@@ -1163,25 +1149,3 @@ def solve(tree: Cotree, restricted: RestrictedSet | Iterable[int]) -> MPDSolutio
     finally:
         if was_enabled:
             gc.enable()
-
-
-def _isolated_labels(tree: Cotree) -> list[int]:
-    """Sorted labels of the isolated vertices: the leaves with no join
-    ancestor.  A join root has none.  Otherwise one pass over the kinds
-    keeps, per finished subtree, the labels of its leaves with no join
-    ancestor so far: a union keeps both runs, a join drops them."""
-    if tree.kind[tree.root] == JOIN:
-        return []
-    out: list[int] = []
-    starts: list[int] = []  # where each finished subtree's run begins in out
-    label = iter(tree.leaf_labels()).__next__
-    for k in tree.kind:
-        if k == LEAF:
-            starts.append(len(out))
-            out.append(label())
-        else:
-            starts.pop()
-            if k == JOIN:
-                del out[starts[-1]:]
-    out.sort()
-    return out

@@ -30,6 +30,7 @@ from pairdom import (
     verify_solution,
 )
 from pairdom.cli import main as cli_main
+from pairdom.diagnostics import snapshot
 from conftest import (
     cube_graph,
     cycle_graph,
@@ -176,7 +177,7 @@ def test_criterion_5_worked_combine():
     lpair = ctx.combine_joint(ctx.leaf_summary(0), ctx.leaf_summary(1))
     left = ctx.combine_union(lpair, ctx.leaf_summary(2))
     right = ctx.combine_union(ctx.leaf_summary(3), ctx.leaf_summary(4))
-    view = ctx.snapshot(ctx.combine_joint(left, right))
+    view = snapshot(ctx, ctx.combine_joint(left, right))
     ok = (view.k, view.s, view.f) == (1, 1, 0)
     _report(
         "criterion 5 (worked combine)",

@@ -1,9 +1,10 @@
 """Isolated vertices read off the cotree, before any fold.
 
 A vertex is isolated exactly when its leaf has no join ancestor, so
-``solve`` names the isolated vertices by walking down from the root through
-union nodes only.  On small trees that walk must agree with the materialized
-graph on every arena layout; at 1e5 leaves ``solve`` must name the isolated
+``solve`` names the isolated vertices as the leaves that see no mark when
+every leaf is marked (``_unseen(tree, None)``), and skips that walk at a
+join root.  On small trees the walk must agree with the materialized graph
+on every arena layout; at 1e5 leaves ``solve`` must name the isolated
 vertices without folding.
 """
 
@@ -24,8 +25,9 @@ from pairdom import (
     random_restricted,
     solve,
 )
-from pairdom.cotree import JOIN, LEAF, UNION
-from pairdom.solver import _isolated_labels
+from pairdom import solver
+from pairdom.cotree import JOIN, LEAF, UNION, _unseen
+from pairdom.diagnostics import check_invariants, snapshot
 from test_layout import level_order, preorder, relaid
 
 LAYOUTS = {"postorder": None, "preorder": preorder, "level-order": level_order}
@@ -48,7 +50,7 @@ class TestDifferential:
         order = LAYOUTS[layout]
         if order is not None:
             tree = relaid(tree, order(tree))
-        assert _isolated_labels(tree) == expected
+        assert _unseen(tree, None) == expected
         restricted = random_restricted(n, random.Random(seed).random(), seed + 1)
         try:
             solve(tree, restricted)
@@ -62,13 +64,20 @@ class TestDifferential:
 
     def test_single_leaf(self):
         tree = parse_cotree("0")
-        assert _isolated_labels(tree) == [0]
+        assert _unseen(tree, None) == [0]
         with pytest.raises(NoSolutionError) as err:
             solve(tree, [0])
         assert err.value.isolated == (0,)
 
-    def test_join_root_stops_at_the_root(self):
-        assert _isolated_labels(parse_cotree("(* (+ 0 1) (+ 2 3))")) == []
+    def test_join_root_stops_at_the_root(self, monkeypatch):
+        tree = parse_cotree("(* (+ 0 1) (+ 2 3))")
+        assert _unseen(tree, None) == []
+
+        def no_walk(tree, mark):
+            raise AssertionError("solve walked a join-rooted tree for isolated vertices")
+
+        monkeypatch.setattr(solver, "_unseen", no_walk)
+        assert solve(tree, [0]).pairs
 
 
 def join_tree_with_three_leaves(size: int, isolated: tuple[int, int, int]) -> Cotree:
@@ -108,8 +117,8 @@ class TestSummaryCount:
         tree = parse_cotree("(+ (* 0 1) (+ 2 3))")
         ctx = SolveContext(4, [0])
         root = ctx.run(tree)
-        assert ctx.snapshot(root).isolated_count == 2
-        ctx.check_invariants(root)
+        assert snapshot(ctx, root).isolated_count == 2
+        check_invariants(ctx, root)
         with pytest.raises(NoSolutionError) as err:
             ctx.extract_solution(root)
         assert err.value.isolated == ()

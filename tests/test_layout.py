@@ -1,9 +1,10 @@
 """Arena layout: every tree is stored in left-first postorder.
 
-Builders store that postfix directly; an arena built by hand with child
-arrays in any other node order is checked and copied into it once, by the
-constructor, so the caller's lists stay as they were, and both layouts
-must give the same solution text.  A malformed arena raises ``ValueError``
+Builders store that postfix directly, unchecked; an arena built by hand
+with child arrays in any other node order is checked and copied into it
+once, by the constructor, so the caller's lists stay as they were, and both
+layouts must give the same solution text.  A postfix built by hand is
+checked as it is.  A malformed arena of either form raises ``ValueError``
 at construction.
 """
 
@@ -26,6 +27,7 @@ from pairdom import (
     serialize_cotree,
     solve,
 )
+from pairdom import cotree
 from pairdom.cli import format_solution
 from pairdom.cotree import JOIN, LEAF, UNION
 
@@ -134,16 +136,28 @@ class TestBuildersStorePostorder:
         assert serialize_cotree(tree) == "(* 0 (+ 1 2))"
 
     def test_arena_not_in_postorder_is_rejected(self):
-        trees = [
-            Cotree([JOIN, LEAF, LEAF], [-1, 0, 1], None, 2, 2),
-            Cotree([LEAF, JOIN], [0, -1], None, 1, 1),
-            Cotree([LEAF, LEAF, JOIN, JOIN], [0, 1, -1, -1], None, 3, 2),
-            Cotree([LEAF, LEAF, JOIN], [0, 1, -1], None, 0, 2),  # root not last
-            Cotree([LEAF, LEAF, JOIN], [0, 1], None, 2, 2),  # labels short of the kinds
+        arenas = [
+            ([JOIN, LEAF, LEAF], [-1, 0, 1], None, 2, 2),
+            ([LEAF, JOIN], [0, -1], None, 1, 1),
+            ([LEAF, LEAF, JOIN, JOIN], [0, 1, -1, -1], None, 3, 2),
+            ([LEAF, LEAF, JOIN], [0, 1, -1], None, 0, 2),  # root not last
+            ([LEAF, LEAF, JOIN], [0, 1], None, 2, 2),  # labels short of the kinds
         ]
-        for tree in trees:
+        for arena in arenas:
             with pytest.raises(ValueError, match="postorder"):
-                tree.validate()
+                Cotree(*arena)
+
+    def test_builders_skip_the_check(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a builder's postfix was checked")
+
+        graph = materialize(parse_cotree("(* 0 (+ 1 2))"))
+        monkeypatch.setattr(Cotree, "validate", refuse)
+        monkeypatch.setattr(cotree, "_postfix", refuse)
+        trees = [parse_cotree("(* 0 (+ 1 2))"), random_cotree(40, 0.5, 1), recognize(graph)]
+        monkeypatch.undo()
+        for tree in trees:
+            assert_postfix(tree)
 
 
 class TestOtherLayoutsSolveTheSame:
@@ -214,12 +228,34 @@ def malformed_arenas():
     yield "child out of range", "dangling child 5", (kind, [1, 0, 3, 1, 2], [2, -1, 5, -1, -1], 0, 3)
     yield "negative child", "dangling child -1", (kind, [1, 0, -1, 1, 2], [2, -1, 4, -1, -1], 0, 3)
     yield "unreachable node", "unreachable", (
-        [JOIN, LEAF, LEAF, LEAF, LEAF], [1, 0, 0, 1, 2], [2, -1, -1, -1, -1], 0, 3)
+        [JOIN, LEAF, LEAF, LEAF, LEAF], [1, 0, 1, 1, 2], [2, -1, -1, -1, -1], 0, 3)
     yield "leaf with a right child", "right child", (kind, [1, 0, 3, 1, 2], [2, 3, 4, -1, -1], 0, 3)
     yield "leaf count too small", "cannot hold 2 leaves", (kind, [1, 0, 3, 1, 2], [2, -1, 4, -1, -1], 0, 2)
     yield "leaf count too large", "cannot hold 4 leaves", (kind, [1, 0, 3, 1, 2], [2, -1, 4, -1, -1], 0, 4)
     yield "root out of range", "rooted at 5", (kind, [1, 0, 3, 1, 2], [2, -1, 4, -1, -1], 5, 3)
     yield "short child array", "5/5/4 nodes", (kind, [1, 0, 3, 1, 2], [2, -1, 4, -1], 0, 3)
+    yield "unknown kind", "kind 7", ([JOIN, LEAF, 7, LEAF, LEAF], [1, 0, 3, 1, 2], [2, -1, 4, -1, -1], 0, 3)
+    yield "label out of range", "label 3", (kind, [1, 0, 3, 1, 3], [2, -1, 4, -1, -1], 0, 3)
+    yield "negative label", "label -1", (kind, [1, -1, 3, 1, 2], [2, -1, 4, -1, -1], 0, 3)
+    yield "repeated label", "label 1", (kind, [1, 1, 3, 1, 2], [2, -1, 4, -1, -1], 0, 3)
+
+
+# Arenas in postfix form (b=None) that are not a tree over their leaves.
+# Unchecked, the first two gave wrong answers: with every vertex
+# restricted, the pairs (0, 1) and (0, 2), vertex 0 used twice and vertex 3
+# left out; and an error naming vertex -1 as isolated.
+MALFORMED_POSTFIXES = {
+    "repeated label": ([0, 0, 2, 0, 0, 2, 2], [0, 0, -1, 1, 2, -1, -1], None, 6, 4),
+    "two subtrees left": ([0, 0, 2, 0, 0], [0, 1, -1, 2, -1], None, 4, 3),
+    "unknown kind": ([0, 0, 7], [0, 1, -1], None, 2, 2),
+    "internal node first": ([2, 0, 0], [-1, 0, 1], None, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_POSTFIXES))
+def test_malformed_postfix_is_rejected_at_construction(name):
+    with pytest.raises(ValueError):
+        Cotree(*MALFORMED_POSTFIXES[name])
 
 
 @pytest.mark.parametrize("error, arena", [case[1:] for case in malformed_arenas()],

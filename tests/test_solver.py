@@ -28,6 +28,7 @@ from pairdom import (
 )
 from pairdom.cli import format_solution
 from pairdom.cotree import JOIN, LEAF
+from pairdom.diagnostics import check_invariants, snapshot
 from pairdom.solver import _FC, _FH, _KC, _KF, _KH, _KT, _NR, _NV, _RH, _SH
 from conftest import random_instance_params
 
@@ -39,7 +40,7 @@ def norm_pairs(solution):
 class TestLeafSummary:
     def test_restricted_leaf(self):
         ctx = SolveContext(1, [0])
-        view = ctx.snapshot(ctx.leaf_summary(0))
+        view = snapshot(ctx, ctx.leaf_summary(0))
         assert view.restricted_count == 1
         assert view.unmatched_restricted == (0,)
         assert view.isolated_count == 1
@@ -47,7 +48,7 @@ class TestLeafSummary:
 
     def test_free_leaf(self):
         ctx = SolveContext(1, [])
-        view = ctx.snapshot(ctx.leaf_summary(0))
+        view = snapshot(ctx, ctx.leaf_summary(0))
         assert view.restricted_count == 0
         assert view.unmatched_free == (0,)
         assert view.isolated_count == 1
@@ -55,7 +56,7 @@ class TestLeafSummary:
     def test_counting_identity(self):
         ctx = SolveContext(2, [1])
         for v in (0, 1):
-            ctx.check_invariants(ctx.leaf_summary(v))
+            check_invariants(ctx, ctx.leaf_summary(v))
 
 
 class TestCombineUnion:
@@ -63,21 +64,21 @@ class TestCombineUnion:
         ctx = SolveContext(4, [])
         a = ctx.combine_joint(ctx.leaf_summary(0), ctx.leaf_summary(1))
         b = ctx.combine_joint(ctx.leaf_summary(2), ctx.leaf_summary(3))
-        view = ctx.snapshot(ctx.combine_union(a, b))
+        view = snapshot(ctx, ctx.combine_union(a, b))
         assert view.f == 2
         assert len(view.free_pairs) == 2
 
     def test_leaf_absorbed_without_touching_solution(self):
         ctx = SolveContext(3, [2])
         pair = ctx.combine_joint(ctx.leaf_summary(0), ctx.leaf_summary(1))
-        view = ctx.snapshot(ctx.combine_union(pair, ctx.leaf_summary(2)))
+        view = snapshot(ctx, ctx.combine_union(pair, ctx.leaf_summary(2)))
         assert view.f == 1
         assert view.isolated_count == 1
         assert view.unmatched_restricted == (2,)
 
     def test_two_free_leaves(self):
         ctx = SolveContext(2, [])
-        view = ctx.snapshot(ctx.combine_union(ctx.leaf_summary(0), ctx.leaf_summary(1)))
+        view = snapshot(ctx, ctx.combine_union(ctx.leaf_summary(0), ctx.leaf_summary(1)))
         assert view.k == view.s == view.f == 0
         assert view.unmatched_free == (0, 1)
         assert view.isolated_count == 2
@@ -87,7 +88,7 @@ class TestCombineJoint:
     def test_two_restricted_leaves_pair_up(self):
         ctx = SolveContext(2, [0, 1])
         out = ctx.combine_joint(ctx.leaf_summary(0), ctx.leaf_summary(1))
-        view = ctx.snapshot(out)
+        view = snapshot(ctx, out)
         assert (view.k, view.s, view.f) == (1, 0, 0)
         assert view.full_pairs == ((0, 1),)
         assert view.unmatched_restricted == ()
@@ -99,7 +100,7 @@ class TestCombineJoint:
         left = ctx.combine_union(ctx.leaf_summary(0), ctx.leaf_summary(1))
         right = ctx.combine_union(ctx.leaf_summary(2), ctx.leaf_summary(3))
         out = ctx.combine_joint(left, right)
-        view = ctx.snapshot(out)
+        view = snapshot(ctx, out)
         assert (view.k, view.s, view.f) == (0, 2, 0)
         assert view.case == "cover-right"
         g = materialize(parse_cotree("(* (+ 0 1) (+ 2 3))"))
@@ -112,7 +113,7 @@ class TestCombineJoint:
         ctx = SolveContext(3, [0, 1, 2])
         left = ctx.combine_joint(ctx.leaf_summary(0), ctx.leaf_summary(1))
         out = ctx.combine_joint(left, ctx.leaf_summary(2))
-        view = ctx.snapshot(out)
+        view = snapshot(ctx, out)
         assert (view.k, view.s, view.f) == (1, 0, 0)
         assert len(view.unmatched_restricted) == 1
         assert view.case == "all-restricted-odd"
@@ -126,17 +127,17 @@ class TestCombineJoint:
         left = ctx.combine_union(lpair, ctx.leaf_summary(2))
         right = ctx.combine_union(ctx.leaf_summary(3), ctx.leaf_summary(4))
         out = ctx.combine_joint(left, right)
-        view = ctx.snapshot(out)
+        view = snapshot(ctx, out)
         assert (view.k, view.s, view.f) == (1, 1, 0)
         assert view.full_pairs == ((0, 1),)
         assert view.semi_pairs == ((4, 2),)
-        ctx.check_invariants(out)
+        check_invariants(ctx, out)
 
     def test_output_isolated_pools_empty(self):
         ctx = SolveContext(3, [0])
         left = ctx.combine_union(ctx.leaf_summary(0), ctx.leaf_summary(1))
         out = ctx.combine_joint(left, ctx.leaf_summary(2))
-        view = ctx.snapshot(out)
+        view = snapshot(ctx, out)
         assert view.isolated_count == 0
 
 
@@ -229,7 +230,7 @@ class TestDifferentialProperties:
         restricted = random_restricted(n, density, seed + 1)
         ctx = SolveContext(n, restricted)
         root = ctx.run(tree)
-        ctx.check_invariants(root)
+        check_invariants(ctx, root)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=100, deadline=None)
@@ -413,7 +414,7 @@ def _fold_views(tree, restricted, leaf_builders, ctx=None):
             if type(r) is int:
                 r = ctx.leaf_summary(r)
             s = (ctx.combine_joint if join else ctx.combine_union)(l, r)
-        views.append((ctx.snapshot(s), tuple(ctx.claimed)))
+        views.append((snapshot(ctx, s), tuple(ctx.claimed)))
         return s
 
     fold(tree.root)
@@ -651,7 +652,7 @@ class TestRelinkFulls:
                 assert write_backs or m < 4, f"m={m}"
             ctx = SolveContext(tree.leaf_count, restricted)
             root = ctx.run(tree)
-            ctx.check_invariants(root)
+            check_invariants(ctx, root)
             _assert_every_slot_accounted(ctx, root, f"m={m}")
 
     def test_free_leaf_under_each_side_keeps_the_shuffle(self, relinks, write_backs,
@@ -690,7 +691,7 @@ class TestRelinkFulls:
             n = 2 + seed % 47
             tree = random_cotree(n, join_bias, seed)
             ctx = SolveContext(n, random_restricted(n, density, seed + 1))
-            ctx.check_invariants(ctx.run(tree))
+            check_invariants(ctx, ctx.run(tree))
         assert any(seen) == (density > 0)
 
     def test_perfect_join_stays_off_the_arena(self):
@@ -734,8 +735,8 @@ class TestRelinkFulls:
         )
         arena = [list(a) for a in (ctx.pu, ctx.pv, ctx.pn, ctx.pof, ctx.free_pids)]
         flat = list(s[_KF])
-        view = ctx.snapshot(s)
-        ctx.check_invariants(s)
+        view = snapshot(ctx, s)
+        check_invariants(ctx, s)
         assert view.full_pairs == ((0, 4), (2, 6), (1, 5), (3, 7))
         assert [ctx.pu, ctx.pv, ctx.pn, ctx.pof, ctx.free_pids] == arena
         assert s[_KF] == flat and s[_KH] == -1
@@ -778,7 +779,7 @@ class TestExemplars:
                 finally:
                     depth[0] -= 1
                 if not depth[0]:  # a join leaf's generic path is one node
-                    views.append(self.snapshot(s))
+                    views.append(snapshot(self, s))
                 return s
             return call
 

@@ -30,8 +30,7 @@ from pairdom import (
     verify_on_tree,
 )
 from pairdom.cli import format_solution
-from pairdom.cotree import JOIN, LEAF, UNION
-from pairdom.solver import _isolated_labels
+from pairdom.cotree import JOIN, LEAF, UNION, _unseen
 
 
 def refuse(self):
@@ -198,7 +197,7 @@ class TestNoDerivePass:
         # join over 7 and 10.
         text = "(+ (* (+ 0 1) (* 2 (+ 3 (+ 4 5)))) 9 (+ 6 8) (* 7 10))"
         tree = parse_cotree(text)
-        assert _isolated_labels(tree) == [6, 8, 9]
+        assert _unseen(tree, None) == [6, 8, 9]
         with pytest.raises(NoSolutionError) as err:
             solve(tree, [0, 6, 7])
         assert err.value.isolated == (6, 8, 9)
@@ -213,7 +212,7 @@ class TestNoDerivePass:
         tree = parse_cotree(serialize_cotree(eager))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Cotree, "_derive", refuse)
-            got = _isolated_labels(tree)
+            got = _unseen(tree, None)
         assert got == materialize(eager).isolated_vertices()
 
 

@@ -1,9 +1,11 @@
 """Verification on the cotree: ``verify_on_tree`` without materializing.
 
 On small trees its report must equal ``verify_solution`` on the materialized
-graph for every pair list, valid or not, whatever the arena layout.  At 1e5
-leaves, far beyond what materializing allows, the solver's answers on every
-shape family must check out as valid with the solver's own statistics.
+graph for every pair list, valid or not, whatever the arena layout, and the
+leaves its domination walk finds unseen must be those with no marked
+neighbour.  At 1e5 leaves, far beyond what materializing allows, the
+solver's answers on every shape family must check out as valid with the
+solver's own statistics.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pairdom import (
     verify_on_tree,
     verify_solution,
 )
-from pairdom.cotree import JOIN, LEAF, UNION
+from pairdom.cotree import JOIN, LEAF, UNION, _unseen
 from test_layout import level_order, preorder, relaid
 from test_output_identity import _permuted, caterpillar, perfect_join_level_order
 
@@ -107,6 +109,28 @@ class TestDifferential:
             "not-an-edge 0 2", "vertex-reused 0", "not-an-edge 0 3", "vertex-reused 0"
         )
         assert_reports_equal(tree, RestrictedSet.empty(4), pairs)
+
+
+@given(
+    st.integers(1, 30),
+    st.floats(0, 1),
+    st.integers(0, 10_000),
+    st.sampled_from([None, UNION, JOIN]),
+    st.sampled_from(sorted(LAYOUTS)),
+    st.floats(0, 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_unseen_leaves_have_no_marked_neighbour(n, bias, seed, root_op, layout, density):
+    tree = random_cotree(n, bias, seed)
+    if root_op is not None and tree.kind[tree.root] != LEAF:
+        tree.kind[tree.root] = root_op
+    order = LAYOUTS[layout]
+    if order is not None:
+        tree = relaid(tree, order(tree))
+    rng = random.Random(seed)
+    mark = bytearray(rng.random() < density for _ in range(n))
+    adj = materialize(tree).adj
+    assert _unseen(tree, mark) == [v for v in range(n) if not any(mark[w] for w in adj[v])]
 
 
 def join_rooted(tree: Cotree) -> Cotree:
