@@ -200,18 +200,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         graph = materialize(tree)
     else:
         graph = parse_graph_text(_read(args.graph))
-    pruning = not args.reference_oracle
     try:
         if args.gamma_p:
-            gamma = oracle_paired_domination_number(
-                graph, max_vertices=args.max_n, pruning=pruning
-            )
+            gamma = oracle_paired_domination_number(graph, max_vertices=args.max_n)
             print(f"gamma_p {gamma}")
             return EXIT_OK
         restricted = _parse_restricted_arg(args.restricted, graph.n)
-        result = oracle_canonical(
-            graph, restricted, max_vertices=args.max_n, pruning=pruning
-        )
+        result = oracle_canonical(graph, restricted, max_vertices=args.max_n)
     except NoSolutionError as exc:
         return _no_solution(exc)
     print(f"beta {result.beta} fmin {result.f_min}")
@@ -310,11 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_instance_args(p)
     p.add_argument("--restricted", help="file path or inline comma list (default: empty)")
     p.add_argument("--gamma-p", action="store_true", help="print the paired-domination number only")
-    p.add_argument(
-        "--reference-oracle",
-        action="store_true",
-        help="disable pruning (audit mode; same results, slower)",
-    )
     p.add_argument("--max-n", type=int, default=16, help="exhaustive-search vertex cap")
     p.set_defaults(func=_cmd_oracle)
 

@@ -365,6 +365,8 @@ def verify_solution(
     induced by its own vertex set, so no separate perfect-matching test
     exists or is needed.)  Statistics are recomputed here; a certificate is
     attached when one of the two cheap canonicity proofs applies.
+    ``restricted`` must be over ``graph.n`` vertices (``ValueError``
+    otherwise).
     """
     return _verification_report(
         graph.n,
@@ -373,6 +375,13 @@ def verify_solution(
         lambda candidates: [graph.has_edge(u, v) for u, v in candidates],
         lambda mark: is_dominating(graph, compress(range(graph.n), mark)),
     )
+
+
+def _check_restricted(restricted: RestrictedSet, n: int) -> None:
+    """Every consumer of a restricted set takes it over the graph's own
+    ``n`` vertices, and raises ``ValueError`` for any other count."""
+    if restricted.n != n:
+        raise ValueError(f"restricted set is over {restricted.n} vertices, graph has {n}")
 
 
 def _verification_report(
@@ -389,6 +398,7 @@ def _verification_report(
     flags of the vertices the in-range pairs touch.  One loop over the
     pairs then finds every matching problem, in input order, and the
     counts."""
+    _check_restricted(restricted, n)
     candidates = [
         (p[0], p[1]) for p in pairs if 0 <= p[0] < n and 0 <= p[1] < n and p[0] != p[1]
     ]
@@ -396,8 +406,7 @@ def _verification_report(
     problems = []
     used = bytearray(n)  # the vertices of the candidates so far
     mark = bytearray(n)  # the vertices of the in-range pairs, self-pairs too
-    # A vertex beyond a smaller restricted set is free, as ``in`` says.
-    flags = restricted.flags.ljust(n, b"\0")
+    flags = restricted.flags
     counts = [0, 0, 0]  # in-range pairs by restricted endpoints: free, semi, full
     for p in pairs:
         u, v = p[0], p[1]
@@ -466,8 +475,9 @@ def check_maximum_properties(
 
     An empty result is necessary but not sufficient for maximality; it is
     used as a property check against solver output.  The solution must be
-    valid (``ValueError`` otherwise); connectivity of ``graph`` is the
-    caller's responsibility.
+    valid and ``restricted`` must be over ``graph.n`` vertices
+    (``ValueError`` otherwise); connectivity of ``graph`` is the caller's
+    responsibility.
     """
     pairs: Sequence[tuple[int, int]]
     if isinstance(solution, MPDSolution):
@@ -566,8 +576,8 @@ def check_maximum_properties(
 
 def parse_graph_text(text: str) -> Graph:
     """Parse the ``p``/``e`` graph format; raises :class:`GraphError`."""
-    n = -1
-    m_declared = -1
+    header = False
+    n = m_declared = 0
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -575,7 +585,7 @@ def parse_graph_text(text: str) -> Graph:
             continue
         fields = line.split()
         if fields[0] == "p":
-            if n >= 0:
+            if header:
                 raise GraphError(f"line {lineno}: duplicate 'p' header")
             if len(fields) != 3:
                 raise GraphError(f"line {lineno}: expected 'p <n> <m>'")
@@ -583,8 +593,11 @@ def parse_graph_text(text: str) -> Graph:
                 n, m_declared = _int_token(fields[1]), _int_token(fields[2])
             except ValueError:
                 raise GraphError(f"line {lineno}: non-integer in 'p' header") from None
+            if n < 0 or m_declared < 0:
+                raise GraphError(f"line {lineno}: negative count in 'p' header")
+            header = True
         elif fields[0] == "e":
-            if n < 0:
+            if not header:
                 raise GraphError(f"line {lineno}: 'e' line before 'p' header")
             if len(fields) != 3:
                 raise GraphError(f"line {lineno}: expected 'e <u> <v>'")
@@ -594,7 +607,7 @@ def parse_graph_text(text: str) -> Graph:
                 raise GraphError(f"line {lineno}: non-integer endpoint") from None
         else:
             raise GraphError(f"line {lineno}: unknown record {fields[0]!r}")
-    if n < 0:
+    if not header:
         raise GraphError("missing 'p <n> <m>' header")
     if len(edges) != m_declared:
         raise GraphError(f"header declares {m_declared} edges, found {len(edges)}")

@@ -6,10 +6,12 @@ enumerates *matchings* rather than vertex subsets: for a fixed dominated
 vertex set, different matchings of it can split into different semi/free pair
 counts, so subset enumeration alone cannot rank solutions by free-pair count.
 
-Enumeration is recursive include/exclude over a fixed edge order.  The
-default solver prunes with a lossless bound; a pruning-free reference mode is
-kept behind a flag for auditing (``pruning=False``).  Everything here is
-pure: independent calls can run concurrently, each search is single-threaded.
+Enumeration is recursive include/exclude over a fixed edge order.
+:func:`enumerate_dominating_matchings` yields every dominating matching;
+:func:`oracle_canonical` runs one search over the same tree that prunes with
+a lossless bound.  Everything here is pure: independent calls can run
+concurrently, each search is single-threaded.  Both take the restricted set
+over the graph's own vertices and raise ``ValueError`` for any other count.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .graphs import (
     MPDSolution,
     NoSolutionError,
     RestrictedSet,
+    _check_restricted,
 )
 
 __all__ = [
@@ -45,8 +48,8 @@ class OracleResult:
 
     ``witness`` is one solution attaining ``(beta, f_min)``; it verifies
     valid with exactly these statistics.  ``count_explored`` counts the
-    dominating matchings the search examined (smaller when pruning) -- a
-    diagnostic, not a contract.
+    dominating matchings the search reached past its bound, at most all of
+    them -- a diagnostic, not a contract.
     """
 
     beta: int
@@ -82,9 +85,12 @@ def enumerate_dominating_matchings(
     Every matching (including non-maximal ones, including the empty one on
     the empty graph) is generated exactly once by include/exclude decisions
     over the edges in lexicographic order; those whose vertex set dominates
-    the graph are yielded as ``(pairs, k, s, f, matched_number)``.
+    the graph are yielded as ``(pairs, k, s, f, matched_number)``.  The
+    cap and the restricted set are checked at the call, before the first
+    matching.
     """
     _check_cap(graph.n, max_vertices)
+    _check_restricted(restricted, graph.n)
     edges = graph.edges()
     m = len(edges)
     nbr = _closed_neighborhood_masks(graph)
@@ -113,63 +119,35 @@ def enumerate_dominating_matchings(
             )
         yield from walk(i + 1, used, dom, pairs, k, s, f)
 
-    yield from walk(0, 0, 0, (), 0, 0, 0)
+    return walk(0, 0, 0, (), 0, 0, 0)
 
 
 def oracle_canonical(
     graph: Graph,
     restricted: RestrictedSet,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    pruning: bool = True,
 ) -> OracleResult:
     """Exhaustively find ``(beta, f_min)`` and one witness solution.
 
     The objective is lexicographic: maximize the matched number, then
-    minimize the number of free pairs.  With ``pruning`` (the default) the
-    search discards states whose best reachable objective cannot strictly
-    beat the incumbent; since the matched number can only grow to
-    ``matched_now + |unmatched restricted|`` and the free count never
-    shrinks, this is lossless.  ``pruning=False`` is the plain reference
-    sweep over :func:`enumerate_dominating_matchings`.
+    minimize the number of free pairs.  The search walks the matchings of
+    :func:`enumerate_dominating_matchings` and discards states whose best
+    reachable objective cannot strictly beat the incumbent; since the
+    matched number can only grow to ``matched_now + |unmatched restricted|``
+    and the free count never shrinks, this is lossless.
 
     Raises :class:`NoSolutionError` when no dominating matching exists
     (exactly the graphs with isolated vertices, and the 1-vertex graph).
     """
     _check_cap(graph.n, max_vertices)
-
-    if not pruning:
-        best: tuple[int, int] | None = None
-        best_pairs: tuple[tuple[int, int], ...] = ()
-        explored = 0
-        for pairs, k, s, f, matched in enumerate_dominating_matchings(
-            graph, restricted, max_vertices
-        ):
-            explored += 1
-            if best is None or matched > best[0] or (matched == best[0] and f < best[1]):
-                best = (matched, f)
-                best_pairs = pairs
-        if best is None:
-            raise NoSolutionError(
-                "no dominating matching exists",
-                isolated=graph.isolated_vertices(),
-            )
-        return OracleResult(
-            beta=best[0],
-            f_min=best[1],
-            witness=MPDSolution.from_edges(best_pairs, restricted),
-            count_explored=explored,
-        )
-
+    _check_restricted(restricted, graph.n)
     edges = graph.edges()
     m = len(edges)
     nbr = _closed_neighborhood_masks(graph)
     full_mask = (1 << graph.n) - 1
     rflags = restricted.flags
 
-    rmask = 0
-    for v in range(graph.n):
-        if rflags[v]:
-            rmask |= 1 << v
+    rmask = sum(1 << v for v in restricted.members())
 
     # suffix_cover[i]: vertices touched by some edge with index >= i.  A
     # restricted vertex can still be matched from state i only if it is
@@ -194,16 +172,13 @@ def oracle_canonical(
             if potential < best_beta or (potential == best_beta and f >= best_f):
                 return
         if i == m:
+            # The bound is exact here (suffix_cover[m] is empty), so a
+            # matching that gets this far beats the incumbent.
             if dom == full_mask:
                 explored += 1
-                if (
-                    best_beta < 0
-                    or matched > best_beta
-                    or (matched == best_beta and f < best_f)
-                ):
-                    best_beta = matched
-                    best_f = f
-                    best_pairs = current.copy()
+                best_beta = matched
+                best_f = f
+                best_pairs = current.copy()
             return
         u, v = edges[i]
         bits = (1 << u) | (1 << v)
@@ -231,14 +206,11 @@ def oracle_canonical(
 def oracle_paired_domination_number(
     graph: Graph,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    pruning: bool = True,
 ) -> int:
     """Minimum vertex count of a dominating matching (always even).
 
     With an empty restricted set the canonical objective degenerates to
     "fewest pairs overall", so this is ``2 * f_min`` of that instance.
     """
-    result = oracle_canonical(
-        graph, RestrictedSet.empty(graph.n), max_vertices=max_vertices, pruning=pruning
-    )
+    result = oracle_canonical(graph, RestrictedSet.empty(graph.n), max_vertices=max_vertices)
     return 2 * result.f_min

@@ -44,6 +44,7 @@ from .graphs import (
     NoSolutionError,
     PairedEdge,
     RestrictedSet,
+    _check_restricted,
 )
 
 __all__ = [
@@ -101,10 +102,7 @@ class SolveContext:
     def __init__(self, n: int, restricted: RestrictedSet | Iterable[int]) -> None:
         if not isinstance(restricted, RestrictedSet):
             restricted = RestrictedSet(n, restricted)
-        if restricted.n != n:
-            raise ValueError(
-                f"restricted set is over {restricted.n} vertices, graph has {n}"
-            )
+        _check_restricted(restricted, n)
         self.n = n
         self.restricted = restricted
         self.rflags = restricted.flags  # by label

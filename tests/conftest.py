@@ -61,6 +61,16 @@ NON_NUMBER_GRAPH_TEXTS = [
                  id="endpoint-arabic-indic"),
 ]
 
+# A negative count is rejected where it stands, not read as a missing
+# header, and a later header cannot stand in for it.
+NEGATIVE_HEADER_GRAPH_TEXTS = [
+    pytest.param("p -1 0\n", "line 1: negative count in 'p' header", id="negative-n"),
+    pytest.param("p -1 0\np 2 1\ne 0 1\n", "line 1: negative count in 'p' header",
+                 id="negative-n-then-header"),
+    pytest.param("# k2\np 2 -1\ne 0 1\n", "line 2: negative count in 'p' header",
+                 id="negative-m"),
+]
+
 
 @pytest.fixture
 def q3() -> Graph:

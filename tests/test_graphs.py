@@ -23,7 +23,12 @@ from pairdom import (
     parse_restricted_text,
     verify_solution,
 )
-from conftest import NON_NUMBER_GRAPH_TEXTS, complete_graph, path_graph
+from conftest import (
+    NEGATIVE_HEADER_GRAPH_TEXTS,
+    NON_NUMBER_GRAPH_TEXTS,
+    complete_graph,
+    path_graph,
+)
 
 
 class TestBuildGraph:
@@ -228,7 +233,7 @@ class TestTextFormats:
     def test_restricted_leading_zeros_and_any_whitespace(self):
         assert parse_restricted_text(" 007\t3\n\n10 ", 12).members() == [3, 7, 10]
 
-    @pytest.mark.parametrize("text, error", NON_NUMBER_GRAPH_TEXTS)
+    @pytest.mark.parametrize("text, error", NON_NUMBER_GRAPH_TEXTS + NEGATIVE_HEADER_GRAPH_TEXTS)
     def test_graph_non_number_token(self, text, error):
         with pytest.raises(GraphError) as err:
             parse_graph_text(text)
