@@ -22,7 +22,9 @@ import re
 import sys
 import time
 from functools import partial
-from typing import NoReturn, Optional, Sequence
+from itertools import compress
+from operator import attrgetter
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .cotree import (
     P4Witness,
@@ -57,28 +59,57 @@ EXIT_NOT_COGRAPH = 3
 EXIT_VERIFY_FAILED = 4
 
 _PAIR_CLASSES = frozenset(cls.value for cls in EdgeClass)
+# A row's class as the byte its slot keeps, and the row's end for that byte.
+_CLASS_CODES = {"full": 1, "semi": 2, "free": 3}
+_ROW_TAILS = (None, " full\n", " semi\n", " free\n")
+_SLOTS = 1 << 12  # slots per piece of the solution text
 
 
 def format_solution(solution: MPDSolution) -> str:
-    """The solution text.  Rows are keyed by their smaller endpoint, which
-    no two pairs of a solution share (its pairs are vertex-disjoint), so
-    the keys sort alone and no per-row tuple is built.  Raises
-    ``ValueError`` when two pairs do share it.  The row dict is dropped
-    before the join, and a last empty line gives the trailing newline, so
-    only one copy of the text is built."""
-    lines = [f"beta {solution.matched_number}", f"kfs {solution.k} {solution.s} {solution.f}"]
-    rows = {}
-    for u, v, cls in solution.pairs:
+    """The solution text: the pieces of :func:`_solution_pieces` joined."""
+    return "".join(_solution_pieces(solution))
+
+
+def _solution_pieces(solution: MPDSolution) -> Iterator[str]:
+    """The solution text in pieces: the two header lines, then the rows of
+    one bounded chunk of slots at a time.
+
+    Each row goes into a slot list at its smaller endpoint, which no two
+    pairs of a solution share (its pairs are vertex-disjoint), so the slots
+    hold the rows in order with no dict, sort or per-row tuple: a slot keeps
+    the larger endpoint, and a byte beside it the class.  Reads only the
+    solution's columns.  Raises ``ValueError`` here, before any piece, when
+    two pairs do share their smaller endpoint."""
+    us, vs, classes = solution._columns()
+    base = min(min(us, default=0), min(vs, default=0))
+    size = max(max(us, default=-1), max(vs, default=-1)) + 1 - base
+    partner: list[Optional[int]] = [None] * size
+    codes = bytearray(size)
+    # ``_value_`` is the plain attribute behind the ``value`` property.
+    for u, v, code in zip(us, vs, map(_CLASS_CODES.__getitem__, map(attrgetter("_value_"), classes))):
         if u > v:
             u, v = v, u
-        # ``_value_`` is the plain attribute behind the ``value`` property.
-        rows[u] = f"pair {u} {v} {cls._value_}"
-    if len(rows) != len(solution.pairs):
+        u -= base
+        partner[u] = v
+        codes[u] = code
+    if size - codes.count(0) != len(us):
         raise ValueError("two pairs share their smaller endpoint")
-    lines.extend(map(rows.__getitem__, sorted(rows)))
-    del rows
-    lines.append("")
-    return "\n".join(lines)
+    header = f"beta {solution.matched_number}\nkfs {solution.k} {solution.s} {solution.f}\n"
+
+    def pieces() -> Iterator[str]:
+        yield header
+        tails = _ROW_TAILS
+        for a in range(0, size, _SLOTS):
+            b = a + _SLOTS
+            have = codes[a:b]
+            rows = zip(
+                compress(range(base + a, base + b), have),
+                compress(partner[a:b], have),
+                filter(None, have),
+            )
+            yield "".join([f"pair {u} {v}{tails[c]}" for u, v, c in rows])
+
+    return pieces()
 
 
 def parse_solution_text(text: str) -> tuple[int, tuple[int, int, int], list[tuple[int, int]]]:
@@ -115,13 +146,14 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: Optional[str], text: str) -> None:
-    """Write ``text`` to the file at ``path``, or to stdout when it is None."""
+def _write(path: Optional[str], pieces: Iterable[str]) -> None:
+    """Write a text's pieces, one at a time, to the file at ``path``, or to
+    stdout when it is None."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _no_solution(exc: NoSolutionError) -> int:
@@ -161,7 +193,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         solution = solve(tree, restricted)
     except NoSolutionError as exc:
         return _no_solution(exc)
-    _write(args.output, format_solution(solution))
+    _write(args.output, _solution_pieces(solution))
     return EXIT_OK
 
 
@@ -218,9 +250,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     tree = random_cotree(args.n, args.join_bias, args.seed)
     # Independent stream for the restricted choice (documented offset).
     restricted = random_restricted(args.n, args.density or 0.0, args.seed + 1)
-    _write(args.out_cotree, serialize_cotree(tree) + "\n")
+    _write(args.out_cotree, (serialize_cotree(tree), "\n"))
     if args.out_restricted or args.density is not None:
-        _write(args.out_restricted, format_restricted_text(restricted))
+        _write(args.out_restricted, [format_restricted_text(restricted)])
     return EXIT_OK
 
 
@@ -256,12 +288,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             times.append(elapsed)
             last = solution
             rows.append(
-                f"{n},{args.seed},{elapsed},{len(last.pairs)},{last.matched_number}"
+                f"{n},{args.seed},{elapsed},{last.k + last.s + last.f},{last.matched_number}"
             )
         medians.append((n, statistics.median(times)))
     for (n1, t1), (n2, t2) in zip(medians, medians[1:]):
         rows.append(f"ratio,{n1}:{n2},{t2 / t1:.3f},,")
-    _write(args.output, "\n".join(rows) + "\n")
+    _write(args.output, ["\n".join(rows) + "\n"])
     return EXIT_OK
 
 
@@ -305,7 +337,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add_instance_args(p)
     p.add_argument("--restricted", help="file path or inline comma list (default: empty)")
     p.add_argument("--gamma-p", action="store_true", help="print the paired-domination number only")
-    p.add_argument("--max-n", type=int, default=16, help="exhaustive-search vertex cap")
+
+    def cap(text: str) -> int:
+        # Below 1 no instance fits: the empty graph is not one.
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        return value
+
+    p.add_argument("--max-n", type=cap, default=16, help="exhaustive-search vertex cap")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")

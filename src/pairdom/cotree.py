@@ -26,6 +26,7 @@ from .graphs import (
     GraphError,
     RestrictedSet,
     VerificationReport,
+    _check_nonempty,
     _verification_report,
 )
 
@@ -400,25 +401,35 @@ def serialize_cotree(tree: Cotree) -> str:
     # one: the text's tokens in reverse.  ``pending`` holds each open node's
     # opening token and, while its right subtree is open, the space before
     # it; a finished subtree releases tokens up to and including a space.
+    # The tokens of each chunk of nodes are joined into one piece, so only
+    # one chunk's token strings are alive, and the pieces, last first, make
+    # the text.
     out: list[str] = []
     emit = out.append
     pending = [" "]  # the whole tree's, dropped at the end
     push, pop = pending.append, pending.pop
-    for k, x in zip(reversed(tree.kind), reversed(tree._a)):
-        if k == LEAF:
-            emit(str(x))
-            tok = pop()
-            while tok != " ":
-                emit(tok)
+    nodes = zip(reversed(tree.kind), reversed(tree._a))
+    pieces = []
+    for _ in range(0, len(tree.kind), _CHUNK):
+        for k, x in islice(nodes, _CHUNK):
+            if k == LEAF:
+                emit(str(x))
                 tok = pop()
-            emit(tok)
-        else:
-            emit(")")
-            push("(+ " if k == UNION else "(* ")
-            push(" ")
-    out.pop()
-    out.reverse()
-    return "".join(out)
+                while tok != " ":
+                    emit(tok)
+                    tok = pop()
+                emit(tok)
+            else:
+                emit(")")
+                push("(+ " if k == UNION else "(* ")
+                push(" ")
+        out.reverse()
+        pieces.append("".join(out))
+        out.clear()
+    # The last piece begins with the whole tree's space.
+    pieces[-1] = pieces[-1][1:]
+    pieces.reverse()
+    return "".join(pieces)
 
 
 def materialize(tree: Cotree, edge_cap: int = DEFAULT_EDGE_CAP) -> Graph:
@@ -708,9 +719,8 @@ def recognize(graph: Graph) -> Union[Cotree, P4Witness]:
     in ascending order of smallest contained vertex, so the result is
     deterministic.
     """
+    _check_nonempty(graph)
     n = graph.n
-    if n == 0:
-        raise GraphError("cannot decompose the empty graph")
     adj = graph.adj
     adjset = [set(row) for row in adj]
     active = bytearray(n)

@@ -24,8 +24,9 @@ from __future__ import annotations
 import enum
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import compress
+from collections import deque
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import chain, compress, islice, repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -192,7 +193,6 @@ class PairedEdge(NamedTuple):
     cls: EdgeClass
 
 
-@dataclass(frozen=True)
 class MPDSolution:
     """A matched-paired-dominating set plus its pair-class statistics.
 
@@ -201,14 +201,85 @@ class MPDSolution:
     ``len(pairs) == k + s + f`` and ``matched_number == 2*k + s``.
     ``case_trace`` is a diagnostic tag naming the rule that produced the
     root combine inside the solver, when the solver produced this object.
+
+    Immutable, and compared and hashed by those six fields.  A solver-built
+    solution keeps its pairs as two label columns, full then semi then free
+    pairs, so ``k``, ``s`` and ``f`` are its class column; ``pairs`` builds
+    the :class:`PairedEdge` tuple on its first read and keeps it.
     """
 
-    pairs: tuple[PairedEdge, ...]
-    k: int
-    s: int
-    f: int
-    matched_number: int
-    case_trace: Optional[str] = None
+    __slots__ = ("_pairs", "_us", "_vs", "k", "s", "f", "matched_number", "case_trace")
+
+    def __init__(
+        self,
+        pairs: tuple[PairedEdge, ...],
+        k: int,
+        s: int,
+        f: int,
+        matched_number: int,
+        case_trace: Optional[str] = None,
+    ) -> None:
+        self._fill(pairs, None, None, k, s, f, matched_number, case_trace)
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of_columns(
+        cls, us: list[int], vs: list[int], k: int, s: int, f: int, case_trace: Optional[str]
+    ) -> "MPDSolution":
+        """The solution whose i-th pair is ``(us[i], vs[i])``: the first
+        ``k`` full, the next ``s`` semi and the last ``f`` free."""
+        self = cls.__new__(cls)
+        self._fill(None, us, vs, k, s, f, 2 * k + s, case_trace)
+        return self
+
+    @property
+    def pairs(self) -> tuple[PairedEdge, ...]:
+        if self._pairs is None:
+            # PairedEdge(u, v, cls) is tuple.__new__(PairedEdge, (u, v, cls));
+            # mapping that directly builds the rows without a Python call each.
+            rows = zip(*self._columns())
+            object.__setattr__(self, "_pairs", tuple(map(tuple.__new__, repeat(PairedEdge), rows)))
+        return self._pairs
+
+    def _columns(self) -> tuple[Sequence[int], Sequence[int], Iterable[EdgeClass]]:
+        """The u endpoints, the v endpoints and the classes, row by row;
+        derived from ``pairs`` for a solution built from them."""
+        if self._us is None:
+            pairs = self._pairs
+            return [p[0] for p in pairs], [p[1] for p in pairs], [p[2] for p in pairs]
+        classes = chain(
+            repeat(EdgeClass.FULL, self.k), repeat(EdgeClass.SEMI, self.s), repeat(EdgeClass.FREE, self.f)
+        )
+        return self._us, self._vs, classes
+
+    _FIELDS = ("pairs", "k", "s", "f", "matched_number", "case_trace")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._fields()))
+        return f"MPDSolution({fields})"
+
+    def __reduce__(self):
+        return (MPDSolution, self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @classmethod
     def from_edges(
@@ -231,10 +302,9 @@ class MPDSolution:
         return cls(tuple(pairs), k, s, f, 2 * k + s)
 
     def vertex_set(self) -> set[int]:
-        out: set[int] = set()
-        for p in self.pairs:
-            out.add(p.u)
-            out.add(p.v)
+        us, vs, _ = self._columns()
+        out = set(us)
+        out.update(vs)
         return out
 
 
@@ -382,6 +452,14 @@ def _check_restricted(restricted: RestrictedSet, n: int) -> None:
     ``n`` vertices, and raises ``ValueError`` for any other count."""
     if restricted.n != n:
         raise ValueError(f"restricted set is over {restricted.n} vertices, graph has {n}")
+
+
+def _check_nonempty(graph: Graph) -> None:
+    """The empty graph has no cotree, so every consumer that answers for a
+    graph (``recognize``, and through it ``solve``, and the oracle) raises
+    the same :class:`GraphError` for it."""
+    if graph.n == 0:
+        raise GraphError("the empty graph is not an instance: it has no cotree")
 
 
 def _verification_report(
@@ -622,26 +700,53 @@ def format_graph_text(graph: Graph) -> str:
 
 def parse_restricted_text(text: str, n: int) -> RestrictedSet:
     """Whitespace-separated vertex ids, each a run of ASCII digits with an
-    optional leading '-'; an empty file is the empty set."""
-    tokens = text.split()
-    # Over the characters 0-9 and '-', int() takes a token exactly when
-    # _int_token does, so such a text converts in one map.
-    try:
-        ids = list(map(int, tokens)) if _ID_TEXT.fullmatch(text) else None
-    except ValueError:  # '1-2', '--1', or beyond int()'s digit limit
-        ids = None
-    if ids is None:
-        ids = []
-        for tok in tokens:
-            try:
-                ids.append(_int_token(tok))
-            except ValueError:
-                raise GraphError(f"restricted set: non-integer token {tok!r}") from None
-    return RestrictedSet(n, ids)
+    optional leading '-'; an empty file is the empty set.
+
+    The text is read one chunk at a time, each cut just after a whitespace
+    character, so no token spans two chunks and only one chunk's tokens are
+    alive.  Over the characters 0-9 and '-', int() takes a token exactly
+    when _int_token does, so such a chunk converts in one map and, once its
+    ids are in range, marks them in one more.  A chunk that fails either
+    test means the text is malformed, and the whole text is read again
+    token by token to name the first fault."""
+    restricted = RestrictedSet(n)
+    flags = restricted.flags
+    length = len(text)
+    end = 0
+    while end < length:
+        pos = end
+        space = _SPACE_CHAR.search(text, pos + _CHUNK)
+        end = space.end() if space else length
+        chunk = text[pos:end]
+        try:
+            ids = list(map(int, chunk.split())) if _ID_TEXT.fullmatch(chunk) else None
+        except ValueError:  # '1-2', '--1', or beyond int()'s digit limit
+            ids = None
+        if ids is None or ids and (min(ids) < 0 or max(ids) >= n):
+            return RestrictedSet(n, _restricted_ids(text))
+        deque(map(flags.__setitem__, ids, repeat(1)), 0)  # runs the map out
+    restricted.count = flags.count(1)
+    return restricted
+
+
+def _restricted_ids(text: str) -> list[int]:
+    """The ids of a restricted-set text in order, token by token; raises
+    :class:`GraphError` naming the first token that is not a number."""
+    ids = []
+    for tok in text.split():
+        try:
+            ids.append(_int_token(tok))
+        except ValueError:
+            raise GraphError(f"restricted set: non-integer token {tok!r}") from None
+    return ids
 
 
 _ID_TEXT = re.compile(r"[0-9\s-]*")
+_SPACE_CHAR = re.compile(r"\s")
 _INT_TOKEN = re.compile(r"-?[0-9]+")
+# Characters per chunk of the restricted-set reader, and ids per chunk of
+# its writer.
+_CHUNK = 1 << 16
 
 
 def _int_token(tok: str) -> int:
@@ -655,5 +760,12 @@ def _int_token(tok: str) -> int:
 
 
 def format_restricted_text(restricted: RestrictedSet) -> str:
-    members = restricted.members()
-    return (" ".join(str(v) for v in members)) + ("\n" if members else "")
+    """The members on one line, joined one chunk of ids at a time, so no
+    list of every member's string is built."""
+    ids = map(str, compress(range(restricted.n), restricted.flags))
+    parts = []
+    while part := " ".join(islice(ids, _CHUNK)):
+        parts.append(part)
+    if parts:
+        parts[-1] += "\n"
+    return " ".join(parts)

@@ -24,6 +24,7 @@ from .graphs import (
     MPDSolution,
     NoSolutionError,
     RestrictedSet,
+    _check_nonempty,
     _check_restricted,
 )
 
@@ -137,8 +138,10 @@ def oracle_canonical(
     and the free count never shrinks, this is lossless.
 
     Raises :class:`NoSolutionError` when no dominating matching exists
-    (exactly the graphs with isolated vertices, and the 1-vertex graph).
+    (exactly the graphs with isolated vertices, and the 1-vertex graph),
+    and :class:`GraphError` for the empty graph, as ``recognize`` does.
     """
+    _check_nonempty(graph)
     _check_cap(graph.n, max_vertices)
     _check_restricted(restricted, graph.n)
     edges = graph.edges()

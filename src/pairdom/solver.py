@@ -34,15 +34,13 @@ their inputs.
 from __future__ import annotations
 
 import gc
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterable
 
 from .cotree import Cotree, JOIN, LEAF, UNION, _unseen
 from .graphs import (
-    EdgeClass,
     MPDSolution,
     NoSolutionError,
-    PairedEdge,
     RestrictedSet,
     _check_restricted,
 )
@@ -990,7 +988,8 @@ class SolveContext:
     # -- extraction ---------------------------------------------------------
 
     def extract_solution(self, summ: NodeSummary) -> MPDSolution:
-        """Flatten a summary into a solution.
+        """Flatten a summary into a solution: two label columns, its full,
+        then semi, then free pairs, with no pair tuple built.
 
         Raises :class:`NoSolutionError` when the summary's graph has isolated
         vertices.  The summary only counts them, so the error's ``isolated``
@@ -1002,34 +1001,22 @@ class SolveContext:
                 f"no solution: the graph has {summ[_IC]} isolated vertices"
             )
         lab = self.labels.__getitem__
-        pairs: list[PairedEdge] = []
+        us: list[int] = []
+        vs: list[int] = []
         counts = []
-        for chain, cls in (
-            (_KH, EdgeClass.FULL),
-            (_SH, EdgeClass.SEMI),
-            (_FH, EdgeClass.FREE),
-        ):
-            us, vs = self._pair_ends(summ, chain)
-            # PairedEdge(u, v, cls) is tuple.__new__(PairedEdge, (u, v, cls));
-            # mapping that directly builds the rows without a Python call each.
-            rows = zip(map(lab, us), map(lab, vs), repeat(cls))
-            done = len(pairs)
-            pairs.extend(map(tuple.__new__, repeat(PairedEdge), rows))
-            counts.append(len(pairs) - done)
+        for chain in (_KH, _SH, _FH):
+            cu, cv = self._pair_ends(summ, chain)
+            done = len(us)
+            us.extend(map(lab, cu))
+            vs.extend(map(lab, cv))
+            counts.append(len(us) - done)
         k, s, f = counts
         if (k, s, f) != (summ[_KC], summ[_SC], summ[_FC]):
             raise SolverInternalError(
                 f"chain counts {(k, s, f)} disagree with "
                 f"{(summ[_KC], summ[_SC], summ[_FC])}"
             )
-        return MPDSolution(
-            pairs=tuple(pairs),
-            k=k,
-            s=s,
-            f=f,
-            matched_number=2 * k + s,
-            case_trace=summ[_CASE],
-        )
+        return MPDSolution._of_columns(us, vs, k, s, f, summ[_CASE])
 
     def _pair_ends(self, summ: NodeSummary, chain: int) -> tuple[Iterable[int], ...]:
         """Endpoint ids of the live pairs on the chain whose head slot is

@@ -335,6 +335,54 @@ class TestOracle:
         assert code == EXIT_INPUT
         assert "graph has 17 vertices, exhaustive cap is 16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--max-n", "-1"], ["--max-n=-3"], ["--max-n", "0"]])
+    def test_cap_below_one_is_a_usage_error(self, tmp_path, capsys, argv):
+        g = write(tmp_path, "k1.g", "p 1 0\n")
+        with pytest.raises(SystemExit) as err:
+            main(["oracle", "--graph", g, *argv])
+        assert err.value.code == EXIT_INPUT
+        cap = argv[-1].rpartition("=")[2]
+        assert capsys.readouterr().err.endswith(
+            f"pairdom oracle: error: argument --max-n: must be at least 1, got {cap}\n"
+        )
+
+    def test_cap_of_one_runs(self, tmp_path, capsys):
+        g = write(tmp_path, "k1.g", "p 1 0\n")
+        assert main(["oracle", "--graph", g, "--max-n", "1"]) == EXIT_NO_SOLUTION
+        assert capsys.readouterr().out == "no-solution isolated 0\n"
+
+
+class TestEmptyGraph:
+    """``p 0 0`` has no cotree, so it is malformed input (exit 1) for every
+    command that answers for a graph, and for the library calls behind them."""
+
+    MESSAGE = "the empty graph is not an instance: it has no cotree"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve"], ["oracle"], ["oracle", "--gamma-p"], ["recognize"]],
+        ids=["solve", "oracle", "oracle-gamma-p", "recognize"],
+    )
+    def test_every_command_exits_1(self, tmp_path, capsys, argv):
+        g = write(tmp_path, "empty.g", "p 0 0\n")
+        assert main([*argv, "--graph", g]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {self.MESSAGE}\n")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pairdom.recognize,
+            lambda g: pairdom.oracle_canonical(g, pairdom.RestrictedSet.empty(0)),
+            pairdom.oracle_paired_domination_number,
+        ],
+        ids=["recognize", "oracle_canonical", "oracle_paired_domination_number"],
+    )
+    def test_library_agrees(self, call):
+        with pytest.raises(GraphError) as err:
+            call(parse_graph_text("p 0 0\n"))
+        assert str(err.value) == self.MESSAGE
+
 
 class TestGen:
     def test_single_leaf(self, capsys):

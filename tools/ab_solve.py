@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of ``solve()`` between two ``pairdom`` source trees.
+"""In-process A/B timing of ``solve()`` and ``format_solution`` between two
+``pairdom`` source trees.
 
     python3 tools/ab_solve.py ../base/src/pairdom [src/pairdom]
 
@@ -8,11 +9,12 @@ loads both trees under their own package names, the first child copy a
 first and the second child copy b first, so that pooling the two cancels
 the edge a process gives the copy it loads first.  On the library instances
 of perfbench's two workloads (``perfbench/instances.py``, seed 1), each
-child times 20 rounds of one ``solve()`` per copy with
-``time.process_time``, in an order that flips every round, and its first
-round checks that the copies return the same pairs.  Each copy solves its
-own ``parse_cotree`` of the workload's text, built once, so both fold the
-postfix tree that perfbench's text op parses.  Prints, per workload, each
+child times 20 rounds per copy of one ``solve()`` and then one
+``format_solution`` of its result with ``time.process_time``, in an order
+that flips every round, and its first round checks that the copies return
+the same pairs and the same text.  Each copy solves its own ``parse_cotree``
+of the workload's text, built once, so both fold the postfix tree that
+perfbench's text op parses.  Prints, per workload and timed call, each
 child's medians, per-round ratio and the second copy's wins, then the
 pooled ones.
 """
@@ -31,11 +33,12 @@ ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 20  # per child
 # workload -> (family, leaves, shape seed) of perfbench's library instance
 WORKLOADS = {"perfect-join-rv": ("perfect", 2**18, 0), "random-262k": ("random", 2**18, 0)}
+CALLS = ("solve", "format_solution")
 
 
 def child(first: str, trees: list[Path]) -> None:
     """Time the rounds with copy ``first`` loaded first; print the times of
-    copies a and b per workload as one JSON line."""
+    copies a and b per workload and call as one JSON line."""
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
     from instances import make_restricted, make_tree
     from pairdom import serialize_cotree
@@ -47,6 +50,7 @@ def child(first: str, trees: list[Path]) -> None:
             name = "pairdom_" + "ab"[i]
             shutil.copytree(trees[i], Path(tmp, name), ignore=shutil.ignore_patterns("__pycache__"))
             mods[i] = importlib.import_module(name)
+            importlib.import_module(name + ".cli")
         out = {}
         for workload, (family, n, shape_seed) in WORKLOADS.items():
             text = serialize_cotree(make_tree(family, n, shape_seed, 1))
@@ -54,17 +58,20 @@ def child(first: str, trees: list[Path]) -> None:
             del text
             members = make_restricted(family, n, 1).members()
             sets = [mod.RestrictedSet(n, members) for mod in mods]
-            times = [[], []]
+            times = {call: [[], []] for call in CALLS}
             for rnd in range(ROUNDS):
-                pairs = []
+                outputs = []
                 for i in (0, 1) if rnd % 2 == 0 else (1, 0):
                     start = time.process_time()
                     sol = mods[i].solve(tree[i], sets[i])
-                    times[i].append(time.process_time() - start)
+                    mid = time.process_time()
+                    text = mods[i].cli.format_solution(sol)
+                    times["solve"][i].append(mid - start)
+                    times["format_solution"][i].append(time.process_time() - mid)
                     if rnd == 0:
-                        pairs.append([(p.u, p.v, p.cls.value) for p in sol.pairs])
-                    del sol
-                if rnd == 0 and pairs[0] != pairs[1]:
+                        outputs.append(([(p.u, p.v, p.cls.value) for p in sol.pairs], text))
+                    del sol, text
+                if rnd == 0 and outputs[0] != outputs[1]:
                     raise SystemExit(f"{workload}: the two copies disagree")
             out[workload] = times
             del tree, sets
@@ -97,11 +104,13 @@ def main() -> None:
             raise SystemExit(proc.returncode)
         halves[first] = json.loads(proc.stdout)
     for workload in WORKLOADS:
-        for first in "ab":
-            print(f"{workload}, {first} loaded first: {summary(halves[first][workload])}")
-        pooled = [halves["a"][workload][i] + halves["b"][workload][i] for i in (0, 1)]
-        print(f"{workload}, pooled: {summary(pooled)}")
-
+        for call in CALLS:
+            for first in "ab":
+                print(f"{workload} {call}, {first} loaded first: "
+                      f"{summary(halves[first][workload][call])}")
+            pooled = [halves["a"][workload][call][i] + halves["b"][workload][call][i]
+                      for i in (0, 1)]
+            print(f"{workload} {call}, pooled: {summary(pooled)}")
 
 if __name__ == "__main__":
     main()
