@@ -262,12 +262,22 @@ def _built(kind: list[int], a: list[int], leaf_count: int) -> Cotree:
 # Whitespace-insensitive between tokens; n-ary nodes are allowed in text and
 # are binarized by a left fold, so "(+ 0 1 2)" parses as "(+ (+ 0 1) 2)".
 # Serialization always emits the binary form and round-trips exactly.
+#
+# A chunk of text is split at whitespace once spaces are put around each
+# ')' and each '(' with its operator.  Those are the regex's tokens when
+# every character is an ASCII digit, '(', ')', '+', '*' or ASCII whitespace
+# and each '(' comes glued to an operator and each operator to a '(', as
+# ``serialize_cotree`` writes them.  The regex reads any other chunk, such
+# as one with a space after a '(', and the error paths rescan with it.
 # ---------------------------------------------------------------------------
 
 
 # A label, an opening parenthesis with its operator, or any other single
 # non-space character; of those, only ')' is valid.
 _TOKEN = re.compile(r"[0-9]+|\(\s*[+*]|\S")
+# Deletes every character a chunk may hold to be split: the ASCII digits,
+# '(', ')', '+', '*' and the ASCII characters that ``str.isspace`` accepts.
+_PLAIN = str.maketrans("", "", "0123456789()+* \t\n\v\f\r\x1c\x1d\x1e\x1f")
 _SPACE = re.compile(r"\s*")
 _CHUNK = 1 << 16
 
@@ -303,7 +313,14 @@ def parse_cotree(text: str) -> Cotree:
         # only one chunk's token strings are alive at a time.
         pos = end
         end = text.find(")", pos + _CHUNK) + 1 or length
-        tokens = findall(text, pos, end)
+        chunk = text[pos:end]
+        ops = chunk.count("(+") + chunk.count("(*")
+        if (chunk.count("(") == ops == chunk.count("+") + chunk.count("*")
+                and not chunk.translate(_PLAIN)):
+            tokens = (chunk.replace("(+", " (+ ").replace("(*", " (* ")
+                      .replace(")", " ) ").split())
+        else:
+            tokens = findall(text, pos, end)
         it = iter(tokens)
         for tok in it:
             if tok == ")":

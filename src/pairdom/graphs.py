@@ -438,6 +438,7 @@ def verify_solution(
     ``restricted`` must be over ``graph.n`` vertices (``ValueError``
     otherwise).
     """
+    _check_nonempty(graph)
     return _verification_report(
         graph.n,
         restricted,
@@ -456,8 +457,8 @@ def _check_restricted(restricted: RestrictedSet, n: int) -> None:
 
 def _check_nonempty(graph: Graph) -> None:
     """The empty graph has no cotree, so every consumer that answers for a
-    graph (``recognize``, and through it ``solve``, and the oracle) raises
-    the same :class:`GraphError` for it."""
+    graph (``recognize``, and through it ``solve``, the oracle and
+    ``verify_solution``) raises the same :class:`GraphError` for it."""
     if graph.n == 0:
         raise GraphError("the empty graph is not an instance: it has no cotree")
 

@@ -369,14 +369,27 @@ class TestEmptyGraph:
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", f"error: {self.MESSAGE}\n")
 
+    def test_verify_exits_1(self, tmp_path, capsys):
+        g = write(tmp_path, "empty.g", "p 0 0\n")
+        sol = write(tmp_path, "empty.sol", "beta 0\nkfs 0 0 0\n")
+        assert main(["verify", "--graph", g, "--solution", sol]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {self.MESSAGE}\n")
+
     @pytest.mark.parametrize(
         "call",
         [
             pairdom.recognize,
             lambda g: pairdom.oracle_canonical(g, pairdom.RestrictedSet.empty(0)),
             pairdom.oracle_paired_domination_number,
+            lambda g: pairdom.verify_solution(g, pairdom.RestrictedSet.empty(0), []),
         ],
-        ids=["recognize", "oracle_canonical", "oracle_paired_domination_number"],
+        ids=[
+            "recognize",
+            "oracle_canonical",
+            "oracle_paired_domination_number",
+            "verify_solution",
+        ],
     )
     def test_library_agrees(self, call):
         with pytest.raises(GraphError) as err:

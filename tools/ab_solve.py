@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of ``solve()`` and ``format_solution`` between two
-``pairdom`` source trees.
+"""In-process A/B timing of ``parse_cotree``, ``solve()`` and
+``format_solution`` between two ``pairdom`` source trees.
 
     python3 tools/ab_solve.py ../base/src/pairdom [src/pairdom]
 
@@ -9,12 +9,11 @@ loads both trees under their own package names, the first child copy a
 first and the second child copy b first, so that pooling the two cancels
 the edge a process gives the copy it loads first.  On the library instances
 of perfbench's two workloads (``perfbench/instances.py``, seed 1), each
-child times 20 rounds per copy of one ``solve()`` and then one
-``format_solution`` of its result with ``time.process_time``, in an order
-that flips every round, and its first round checks that the copies return
-the same pairs and the same text.  Each copy solves its own ``parse_cotree``
-of the workload's text, built once, so both fold the postfix tree that
-perfbench's text op parses.  Prints, per workload and timed call, each
+child times 20 rounds per copy of perfbench's text op, call by call with
+``time.process_time``: ``parse_cotree`` of the workload's text, ``solve()``
+of that tree and ``format_solution`` of the result, in an order that flips
+every round.  Its first round checks that the copies return the same arena,
+the same pairs and the same text.  Prints, per workload and timed call, each
 child's medians, per-round ratio and the second copy's wins, then the
 pooled ones.
 """
@@ -33,7 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 20  # per child
 # workload -> (family, leaves, shape seed) of perfbench's library instance
 WORKLOADS = {"perfect-join-rv": ("perfect", 2**18, 0), "random-262k": ("random", 2**18, 0)}
-CALLS = ("solve", "format_solution")
+CALLS = ("parse_cotree", "solve", "format_solution")
 
 
 def child(first: str, trees: list[Path]) -> None:
@@ -53,9 +52,7 @@ def child(first: str, trees: list[Path]) -> None:
             importlib.import_module(name + ".cli")
         out = {}
         for workload, (family, n, shape_seed) in WORKLOADS.items():
-            text = serialize_cotree(make_tree(family, n, shape_seed, 1))
-            tree = [mod.parse_cotree(text) for mod in mods]
-            del text
+            tree_text = serialize_cotree(make_tree(family, n, shape_seed, 1))
             members = make_restricted(family, n, 1).members()
             sets = [mod.RestrictedSet(n, members) for mod in mods]
             times = {call: [[], []] for call in CALLS}
@@ -63,18 +60,22 @@ def child(first: str, trees: list[Path]) -> None:
                 outputs = []
                 for i in (0, 1) if rnd % 2 == 0 else (1, 0):
                     start = time.process_time()
-                    sol = mods[i].solve(tree[i], sets[i])
-                    mid = time.process_time()
+                    tree = mods[i].parse_cotree(tree_text)
+                    parsed = time.process_time()
+                    sol = mods[i].solve(tree, sets[i])
+                    solved = time.process_time()
                     text = mods[i].cli.format_solution(sol)
-                    times["solve"][i].append(mid - start)
-                    times["format_solution"][i].append(time.process_time() - mid)
+                    times["parse_cotree"][i].append(parsed - start)
+                    times["solve"][i].append(solved - parsed)
+                    times["format_solution"][i].append(time.process_time() - solved)
                     if rnd == 0:
-                        outputs.append(([(p.u, p.v, p.cls.value) for p in sol.pairs], text))
-                    del sol, text
+                        outputs.append(((tree.kind, tree._a),
+                                        [(p.u, p.v, p.cls.value) for p in sol.pairs], text))
+                    del tree, sol, text
                 if rnd == 0 and outputs[0] != outputs[1]:
                     raise SystemExit(f"{workload}: the two copies disagree")
             out[workload] = times
-            del tree, sets
+            del tree_text, sets
     print(json.dumps(out))
 
 
