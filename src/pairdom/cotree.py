@@ -263,12 +263,14 @@ def _built(kind: list[int], a: list[int], leaf_count: int) -> Cotree:
 # are binarized by a left fold, so "(+ 0 1 2)" parses as "(+ (+ 0 1) 2)".
 # Serialization always emits the binary form and round-trips exactly.
 #
-# A chunk of text is split at whitespace once spaces are put around each
-# ')' and each '(' with its operator.  Those are the regex's tokens when
-# every character is an ASCII digit, '(', ')', '+', '*' or ASCII whitespace
-# and each '(' comes glued to an operator and each operator to a '(', as
-# ``serialize_cotree`` writes them.  The regex reads any other chunk, such
-# as one with a space after a '(', and the error paths rescan with it.
+# A chunk of text is split at whitespace once each ')' is spaced apart and
+# each '(' with its operator is replaced by the spaced operator alone (a
+# cached one-character string).  That gives the regex's tokens one for one,
+# '+' and '*' standing for '(+' and '(*', when every character is an ASCII
+# digit, '(', ')', '+', '*' or ASCII whitespace and each '(' comes glued to
+# an operator and each operator to a '(', as ``serialize_cotree`` writes
+# them.  The regex reads any other chunk, such as one with a space after a
+# '(', and the error paths rescan with it.
 # ---------------------------------------------------------------------------
 
 
@@ -315,9 +317,10 @@ def parse_cotree(text: str) -> Cotree:
         end = text.find(")", pos + _CHUNK) + 1 or length
         chunk = text[pos:end]
         ops = chunk.count("(+") + chunk.count("(*")
-        if (chunk.count("(") == ops == chunk.count("+") + chunk.count("*")
-                and not chunk.translate(_PLAIN)):
-            tokens = (chunk.replace("(+", " (+ ").replace("(*", " (* ")
+        split = (chunk.count("(") == ops == chunk.count("+") + chunk.count("*")
+                 and not chunk.translate(_PLAIN))
+        if split:
+            tokens = (chunk.replace("(+", " + ").replace("(*", " * ")
                       .replace(")", " ) ").split())
         else:
             tokens = findall(text, pos, end)
@@ -334,7 +337,7 @@ def parse_cotree(text: str) -> Cotree:
             elif "0" <= tok < ":":  # a label (':' follows '9')
                 add_kind(LEAF)
                 add_a(int(tok))
-            elif len(tok) > 1:
+            elif split or len(tok) > 1:
                 push((op, count))
                 op = UNION if tok[-1] == "+" else JOIN
                 count = 0

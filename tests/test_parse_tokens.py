@@ -283,9 +283,9 @@ def test_irregular_token_on_a_chunk_edge(match, at, drop, insert, valid):
 # -- memory --------------------------------------------------------------------
 
 # tracemalloc peak of parse_cotree above the tree it returns, at 2^16 leaves.
-# Measured 1.25 MB on CPython 3.11.7 (the regex tokens read 1.13 MB): one
-# chunk's tokens and its spaced copy.  A split over the whole text read
-# 8.17 MB.
+# Measured 0.65 MB on CPython 3.11.7, where the regex's tokens, with a new
+# string for each '(+' and '(*', read 1.13 MB.  A split over the whole text
+# read 4.98 MB.
 PARSE_PEAK_BOUND_MB = 2.0
 
 
