@@ -337,7 +337,7 @@ def parse_cotree(text: str) -> Cotree:
             elif "0" <= tok < ":":  # a label (':' follows '9')
                 add_kind(LEAF)
                 add_a(int(tok))
-            elif split or len(tok) > 1:
+            elif split or len(tok) > 1:  # '+' or '*' split, '(' with it matched
                 push((op, count))
                 op = UNION if tok[-1] == "+" else JOIN
                 count = 0
