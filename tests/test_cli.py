@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import shlex
@@ -43,6 +44,8 @@ from conftest import (
     cube_graph,
     path_graph,
 )
+
+SRC = str(Path(pairdom.__file__).resolve().parents[1])
 
 
 def write(tmp_path, name, text):
@@ -542,6 +545,27 @@ class TestImports:
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             pairdom.nope
+
+    def test_every_public_name_resolves(self):
+        for name in pairdom.__all__:
+            getattr(pairdom, name)
+
+    def test_every_lazy_entry_names_an_attribute_of_its_module(self):
+        for name, module in pairdom._LAZY.items():
+            assert hasattr(importlib.import_module(f"pairdom.{module}"), name), (name, module)
+
+    def test_no_name_is_both_eager_and_lazy(self):
+        # A fresh interpreter: this one has cached every lazy name already.
+        script = "import pairdom\nprint(sorted(set(pairdom._LAZY) & set(vars(pairdom))))\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestPipeline:

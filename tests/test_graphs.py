@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from pairdom import (
     EdgeClass,
     GraphError,
     RestrictedSet,
+    VerificationReport,
     build_graph,
     check_maximum_properties,
     classify_edge,
@@ -153,6 +155,63 @@ class TestVerifySolution:
         assert rep.valid
         assert len(pairs) == rep.k + rep.s + rep.f
         assert rep.matched_number == 2 * rep.k + rep.s
+
+
+class TestVerificationReport:
+    """The report's value contract: fields, default, repr, equality, hash,
+    pickling and immutability."""
+
+    FIELDS = {
+        "is_matching": False,
+        "is_dominating": True,
+        "valid": False,
+        "k": 1,
+        "s": 2,
+        "f": 0,
+        "matched_number": 4,
+        "certificate": Certificate.NONE,
+        "problems": ("vertex-reused 1", "not-an-edge 0 2"),
+    }
+
+    def report(self, **changes) -> VerificationReport:
+        return VerificationReport(**{**self.FIELDS, **changes})
+
+    def test_repr(self):
+        assert repr(self.report()) == (
+            "VerificationReport(is_matching=False, is_dominating=True, valid=False, k=1, s=2,"
+            " f=0, matched_number=4, certificate=<Certificate.NONE: 'none'>,"
+            " problems=('vertex-reused 1', 'not-an-edge 0 2'))"
+        )
+
+    def test_keyword_and_positional_construction(self):
+        values = list(self.FIELDS.values())
+        assert VerificationReport(*values) == self.report()
+        short = dict(self.FIELDS)
+        del short["problems"]
+        by_keyword = VerificationReport(**short)
+        by_position = VerificationReport(*values[:-1])
+        assert by_keyword.problems == () == by_position.problems
+        assert by_keyword == by_position == self.report(problems=())
+
+    def test_equality_and_hash(self):
+        a, b = self.report(), self.report()
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert hash(a) == hash(tuple(self.FIELDS.values()))
+        for name, value in [("valid", True), ("k", 2), ("problems", ())]:
+            assert a != self.report(**{name: value})
+
+    def test_pickle_round_trip(self):
+        a = self.report(certificate=Certificate.ODD_ALL_BUT_ONE)
+        back = pickle.loads(pickle.dumps(a))
+        assert type(back) is VerificationReport and back == a
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        a = self.report()
+        with pytest.raises(AttributeError):
+            a.valid = True
+        with pytest.raises(AttributeError):
+            del a.k
+        assert a == self.report()
 
 
 class TestMaximumProperties:
