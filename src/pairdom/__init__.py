@@ -14,46 +14,46 @@ from importlib import import_module
 from .cotree import (
     Cotree,
     CotreeParseError,
-    EdgeCapExceeded,
-    P4Witness,
-    is_induced_p4,
-    materialize,
     parse_cotree,
     random_cotree,
     random_restricted,
-    recognize,
     serialize_cotree,
     verify_on_tree,
 )
 from .graphs import (
     Certificate,
     EdgeClass,
-    Graph,
     GraphError,
     MPDSolution,
     NoSolutionError,
     PairedEdge,
-    PropertyViolation,
     RestrictedSet,
     VerificationReport,
-    build_graph,
-    check_maximum_properties,
     classify_edge,
-    format_graph_text,
     format_restricted_text,
-    is_dominating,
-    is_matching,
-    parse_graph_text,
     parse_restricted_text,
-    verify_solution,
 )
 
 __version__ = "0.1.0"
 
-# The solver, diagnostics and oracle names load on first use, so a process
-# that runs none of them (``pairdom verify``, ``gen``, ``recognize``) does
-# not compile them.
+# The explicit-graph, solver, diagnostics and oracle names load on first
+# use, so a process that runs none of them (``pairdom solve --cotree``,
+# ``verify --cotree``, ``gen``) does not compile them.
 _LAZY = {
+    "EdgeCapExceeded": "adjacency",
+    "Graph": "adjacency",
+    "P4Witness": "adjacency",
+    "PropertyViolation": "adjacency",
+    "build_graph": "adjacency",
+    "check_maximum_properties": "adjacency",
+    "format_graph_text": "adjacency",
+    "is_dominating": "adjacency",
+    "is_induced_p4": "adjacency",
+    "is_matching": "adjacency",
+    "materialize": "adjacency",
+    "parse_graph_text": "adjacency",
+    "recognize": "adjacency",
+    "verify_solution": "adjacency",
     "OracleCapExceeded": "oracle",
     "OracleResult": "oracle",
     "enumerate_dominating_matchings": "oracle",

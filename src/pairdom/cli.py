@@ -24,18 +24,9 @@ import time
 from functools import partial
 from itertools import compress
 from operator import attrgetter
-from typing import Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional, Sequence
 
-from .cotree import (
-    P4Witness,
-    materialize,
-    parse_cotree,
-    random_cotree,
-    random_restricted,
-    recognize,
-    serialize_cotree,
-    verify_on_tree,
-)
+from .cotree import parse_cotree, random_cotree, random_restricted, serialize_cotree, verify_on_tree
 from .graphs import (
     EdgeClass,
     GraphError,
@@ -44,13 +35,14 @@ from .graphs import (
     RestrictedSet,
     _int_token,
     format_restricted_text,
-    parse_graph_text,
     parse_restricted_text,
-    verify_solution,
 )
 
-# The solver, the oracle and ``statistics`` are imported by the commands that
-# run them, so a process compiles only what its command needs.
+# The explicit-graph code, the solver, the oracle and ``statistics`` are
+# imported by the commands and branches that run them, so a process compiles
+# only what its command needs.
+if TYPE_CHECKING:
+    from .adjacency import P4Witness
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -185,6 +177,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.cotree is not None:
         tree = parse_cotree(_read(args.cotree))
     else:
+        from .adjacency import P4Witness, parse_graph_text, recognize
+
         tree = recognize(parse_graph_text(_read(args.graph)))
         if isinstance(tree, P4Witness):
             return _not_cograph(tree)
@@ -203,6 +197,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         tree = parse_cotree(_read(args.cotree))
         n, check = tree.leaf_count, partial(verify_on_tree, tree)
     else:
+        from .adjacency import parse_graph_text, verify_solution
+
         graph = parse_graph_text(_read(args.graph))
         n, check = graph.n, partial(verify_solution, graph)
     restricted = _parse_restricted_arg(args.restricted, n)
@@ -224,6 +220,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .adjacency import materialize, parse_graph_text
     from .oracle import _check_cap, oracle_canonical, oracle_paired_domination_number
 
     if args.cotree is not None:
@@ -257,6 +254,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
+    from .adjacency import P4Witness, parse_graph_text, recognize
+
     graph = parse_graph_text(_read(args.graph))
     result = recognize(graph)
     if isinstance(result, P4Witness):

@@ -5,12 +5,14 @@ union, no new edges) and *join* (disjoint union plus every cross edge).  The
 build is recorded in a rooted strictly-binary tree whose leaves are the
 vertices and whose internal nodes carry the operation; materializing the tree
 reproduces the graph.  Equivalently, cographs are exactly the graphs with no
-induced path on four vertices, and recognition below either returns such a
-tree or a concrete four-vertex witness.
+induced path on four vertices.
 
 The tree is stored as a flat arena (parallel lists) rather than node objects
 so million-leaf instances stay cheap to traverse; everything that walks it is
-iterative, never recursive.
+iterative, never recursive.  This module holds the tree, its text format,
+its generators and the solution check on the tree, none of which builds an
+edge; materialization and recognition, which need the explicit graph, are
+in :mod:`pairdom.adjacency`.
 """
 
 from __future__ import annotations
@@ -19,16 +21,9 @@ import random
 import re
 from itertools import compress, islice
 from operator import length_hint, not_
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .graphs import (
-    Graph,
-    GraphError,
-    RestrictedSet,
-    VerificationReport,
-    _check_nonempty,
-    _verification_report,
-)
+from .graphs import RestrictedSet, VerificationReport, _verification_report
 
 __all__ = [
     "LEAF",
@@ -36,16 +31,11 @@ __all__ = [
     "JOIN",
     "Cotree",
     "CotreeParseError",
-    "EdgeCapExceeded",
-    "P4Witness",
     "parse_cotree",
     "serialize_cotree",
-    "materialize",
     "verify_on_tree",
-    "recognize",
     "random_cotree",
     "random_restricted",
-    "is_induced_p4",
 ]
 
 # Node kinds.  ``a`` is the only store of the leaf labels; a builder stores
@@ -55,8 +45,6 @@ LEAF = 0
 UNION = 1
 JOIN = 2
 
-DEFAULT_EDGE_CAP = 50_000_000
-
 
 class CotreeParseError(ValueError):
     """Syntax or leaf-labeling error; ``position`` is a character offset."""
@@ -64,19 +52,6 @@ class CotreeParseError(ValueError):
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class EdgeCapExceeded(GraphError):
-    """Materialization would exceed the configured edge cap."""
-
-
-class P4Witness(NamedTuple):
-    """Four vertices inducing a path a-b-c-d, certifying non-cographness."""
-
-    a: int
-    b: int
-    c: int
-    d: int
 
 
 class Cotree:
@@ -452,58 +427,10 @@ def serialize_cotree(tree: Cotree) -> str:
     return "".join(pieces)
 
 
-def materialize(tree: Cotree, edge_cap: int = DEFAULT_EDGE_CAP) -> Graph:
-    """Expand the tree into an explicit graph.
-
-    A join contributes the complete bipartite edge set between the leaf sets
-    of its children; a union contributes nothing.  The edge count is checked
-    against ``edge_cap`` before any adjacency row is allocated, so an
-    accidental dense join fails fast instead of exhausting memory.
-    """
-    n = tree.leaf_count
-    leaf_order = tree.leaf_labels()
-
-    # Left-to-right leaf order puts every subtree's leaves in a contiguous
-    # range, so each join is a cross product of two slices, and its side
-    # sizes are the lengths of those ranges.  A join's right range starts
-    # where the subtree finished last starts, its left range where the one
-    # before that starts, and both end at the leaves seen so far.
-    m = 0
-    joins: list[tuple[int, int, int]] = []
-    starts: list[int] = []  # range starts of finished subtrees awaiting a parent
-    seen = 0
-    for k in tree.kind:
-        if k == LEAF:
-            starts.append(seen)
-            seen += 1
-        else:
-            mid = starts.pop()
-            if k == JOIN:
-                lo = starts[-1]
-                m += (mid - lo) * (seen - mid)
-                if m > edge_cap:
-                    raise EdgeCapExceeded(
-                        f"materialization needs more than {edge_cap} edges"
-                    )
-                joins.append((lo, mid, seen))
-
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for lo, mid, hi in joins:
-        left = leaf_order[lo:mid]
-        right = leaf_order[mid:hi]
-        for u in left:
-            adj[u].extend(right)
-        for v in right:
-            adj[v].extend(left)
-    for row in adj:
-        row.sort()
-    return Graph(n, adj, m)
-
-
 def verify_on_tree(
     tree: Cotree, restricted: RestrictedSet, pairs: Sequence[tuple[int, int]]
 ) -> VerificationReport:
-    """The report :func:`~pairdom.graphs.verify_solution` gives on the
+    """The report :func:`~pairdom.adjacency.verify_solution` gives on the
     tree's materialized graph, for every input, without building an edge.
 
     Two leaves are adjacent exactly when their lowest common ancestor is a
@@ -623,166 +550,6 @@ def _unseen(tree: Cotree, mark: Optional[bytearray]) -> list[int]:
             push(sees)
     out.sort()
     return out
-
-
-def is_induced_p4(graph: Graph, witness: P4Witness) -> bool:
-    """True iff the witness induces a path on four distinct vertices."""
-    a, b, c, d = witness
-    if len({a, b, c, d}) != 4:
-        return False
-    return (
-        graph.has_edge(a, b)
-        and graph.has_edge(b, c)
-        and graph.has_edge(c, d)
-        and not graph.has_edge(a, c)
-        and not graph.has_edge(a, d)
-        and not graph.has_edge(b, d)
-    )
-
-
-def _components(sub: list[int], adj: list[list[int]], active: bytearray) -> list[list[int]]:
-    """Connected components of the subgraph induced by ``sub``.
-
-    ``active`` must be 1 exactly on ``sub``; it is restored before return.
-    Components come out sorted by smallest contained vertex.
-    """
-    comp_id = {}
-    comps: list[list[int]] = []
-    for start in sub:
-        if start in comp_id:
-            continue
-        comp = [start]
-        comp_id[start] = len(comps)
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for w in adj[x]:
-                if active[w] and w not in comp_id:
-                    comp_id[w] = len(comps)
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(comp)
-    comps.sort(key=lambda c: min(c))
-    return comps
-
-
-def _co_components(sub: list[int], adjset: list[set[int]]) -> list[list[int]]:
-    """Connected components of the *complement* of the induced subgraph.
-
-    Runs breadth-first search over the complement without building it: from
-    each frontier vertex, every still-unvisited vertex that is NOT a
-    neighbor joins the component.  Scanning the unvisited pool charges each
-    survivor to a real edge, so a level costs O(n + m).
-    """
-    unvisited = list(sub)
-    comps: list[list[int]] = []
-    while unvisited:
-        seed = unvisited[0]
-        comp = [seed]
-        queue = [seed]
-        unvisited = unvisited[1:]
-        while queue:
-            x = queue.pop()
-            nbr = adjset[x]
-            kept = []
-            for u in unvisited:
-                if u in nbr:
-                    kept.append(u)
-                else:
-                    comp.append(u)
-                    queue.append(u)
-            unvisited = kept
-        comps.append(comp)
-    for c in comps:
-        c.sort()
-    comps.sort(key=lambda c: c[0])
-    return comps
-
-
-def _find_p4(sub: list[int], graph: Graph, adjset: list[set[int]]) -> P4Witness:
-    """Extract an induced P4 from a connected, co-connected subset.
-
-    Any induced path a-b-c-d shows up while scanning its middle edge (b, c):
-    a lies in N(b)-N[c], d in N(c)-N[b], and a, d are non-adjacent.  A
-    subset on which neither decomposition step applies always contains one.
-    """
-    in_sub = set(sub)
-    adj = graph.adj
-    for b in sub:
-        for c in adj[b]:
-            if c not in in_sub or c < b:
-                continue
-            side_a = [x for x in adj[b] if x in in_sub and x != c and x not in adjset[c]]
-            side_d = [x for x in adj[c] if x in in_sub and x != b and x not in adjset[b]]
-            for x in side_a:
-                for y in side_d:
-                    if x != y and y not in adjset[x]:
-                        witness = P4Witness(x, b, c, y)
-                        if not is_induced_p4(graph, witness):  # pragma: no cover
-                            raise AssertionError("internal error: bad P4 extraction")
-                        return witness
-    raise AssertionError(  # pragma: no cover - unreachable on valid input
-        "no P4 found in an undecomposable subset"
-    )
-
-
-def recognize(graph: Graph) -> Union[Cotree, P4Witness]:
-    """Decompose ``graph`` into a cotree, or return an induced-P4 witness.
-
-    Strategy: recursively, a disconnected (sub)graph is a union of its
-    components; a co-disconnected one is a join of its co-components; a
-    subset that is neither (possible only on >= 4 vertices) contains an
-    induced P4, which is extracted and returned as the certificate.
-
-    Worst case O(n * (n + m)).  The returned tree's materialization is
-    edge-identical to ``graph``; multiway splits are binarized left-to-right
-    in ascending order of smallest contained vertex, so the result is
-    deterministic.
-    """
-    _check_nonempty(graph)
-    n = graph.n
-    adj = graph.adj
-    adjset = [set(row) for row in adj]
-    active = bytearray(n)
-
-    # The nodes are stored in right-first preorder, each before its right
-    # subtree and that before its left one, and reversed at the end into
-    # left-first postorder.  A split into parts p0..pk is the left-fold
-    # chain (..(p0 op p1) op ..) op pk, whose top node is stored at once;
-    # the parts are explored last first, and each inner chain node waits on
-    # the stack, as its kind, between its right operand and the rest of the
-    # chain.  Subsets wait on the stack as lists.
-    kind: list[int] = []
-    labels: list[int] = []
-    stack: list[Union[list[int], int]] = [sorted(range(n))]
-    while stack:
-        sub = stack.pop()
-        if type(sub) is int:
-            kind.append(sub)
-            labels.append(-1)
-        elif len(sub) == 1:
-            kind.append(LEAF)
-            labels.append(sub[0])
-        else:
-            for v in sub:
-                active[v] = 1
-            parts = _components(sub, adj, active)
-            op = UNION
-            if len(parts) == 1:
-                parts = _co_components(sub, adjset)
-                op = JOIN
-            if len(parts) == 1:
-                return _find_p4(sub, graph, adjset)
-            for v in sub:
-                active[v] = 0
-            kind.append(op)
-            labels.append(-1)
-            stack += parts[:2]
-            for part in parts[2:]:
-                stack += (op, part)
-    kind.reverse()
-    labels.reverse()
-    return _built(kind, labels, n)
 
 
 def random_cotree(n: int, join_bias: float, seed: int) -> Cotree:

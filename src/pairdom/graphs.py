@@ -13,41 +13,31 @@ restricted vertices; that count is its *matched number*.  The optimization
 target elsewhere in this package is a solution with maximum matched number
 and, among those, the fewest free pairs (a *canonical* solution).
 
-This module owns the ``Graph`` representation (dense integer vertices,
-sorted adjacency lists), the pair taxonomy, and all from-scratch validity and
-property checkers that the solver, the oracle and the CLI are verified
-against.  Checkers report; they do not raise on invalid solutions.
+This module owns what a solve or a tree check needs without an edge set:
+the restricted set, the pair taxonomy, the solution and report types, the
+report core that both verifiers share, and the restricted-set text format.
+The explicit ``Graph``, its checkers and its text format are in
+:mod:`pairdom.adjacency`.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from bisect import bisect_left
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, compress, islice, repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "EdgeClass",
     "Certificate",
-    "Graph",
     "GraphError",
     "NoSolutionError",
     "RestrictedSet",
     "PairedEdge",
     "MPDSolution",
     "VerificationReport",
-    "PropertyViolation",
-    "build_graph",
     "classify_edge",
-    "is_matching",
-    "is_dominating",
-    "verify_solution",
-    "check_maximum_properties",
-    "parse_graph_text",
-    "format_graph_text",
     "parse_restricted_text",
     "format_restricted_text",
 ]
@@ -79,8 +69,9 @@ class EdgeClass(enum.Enum):
 
 
 class Certificate(enum.Enum):
-    """Cheap canonicity certificates computed by :func:`verify_solution`
-    and :func:`~pairdom.cotree.verify_on_tree`.
+    """Cheap canonicity certificates computed by
+    :func:`~pairdom.adjacency.verify_solution` and
+    :func:`~pairdom.cotree.verify_on_tree`.
 
     ``ALL_RESTRICTED_TIGHT``: every restricted vertex is matched and the
     solution uses the fewest pairs that could possibly achieve that
@@ -97,48 +88,6 @@ class Certificate(enum.Enum):
     NONE = "none"
     ALL_RESTRICTED_TIGHT = "all-restricted-tight"
     ODD_ALL_BUT_ONE = "odd-all-but-one"
-
-
-class Graph:
-    """Undirected simple graph on vertices ``0 .. n-1``.
-
-    ``adj[v]`` is the sorted list of neighbors of ``v``; ``m`` is the edge
-    count (half the sum of adjacency lengths).  Instances are treated as
-    immutable after construction and are safe to share between threads.
-
-    Use :func:`build_graph` to construct from an edge list with validation;
-    the constructor itself trusts its arguments (used by bulk builders).
-    """
-
-    __slots__ = ("n", "m", "adj")
-
-    def __init__(self, n: int, adj: list[list[int]], m: int) -> None:
-        self.n = n
-        self.adj = adj
-        self.m = m
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Membership test via binary search on the sorted adjacency list."""
-        if u >= self.n or v >= self.n or u < 0 or v < 0:
-            return False
-        row = self.adj[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as ``(u, v)`` with ``u < v``, in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    out.append((u, v))
-        return out
-
-    def isolated_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if not self.adj[v]]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Graph(n={self.n}, m={self.m})"
 
 
 class RestrictedSet:
@@ -196,7 +145,8 @@ class PairedEdge(NamedTuple):
 class MPDSolution:
     """A matched-paired-dominating set plus its pair-class statistics.
 
-    Invariants (enforced by :func:`verify_solution`, not the constructor):
+    Invariants (enforced by :func:`~pairdom.adjacency.verify_solution`, not
+    the constructor):
     the pairs are vertex-disjoint edges of the associated graph,
     ``len(pairs) == k + s + f`` and ``matched_number == 2*k + s``.
     ``case_trace`` is a diagnostic tag naming the rule that produced the
@@ -275,10 +225,16 @@ class MPDSolution:
     def __reduce__(self):
         return (MPDSolution, self._fields())
 
+    # ``dataclasses`` is imported only to raise: no solve or verify process
+    # loads it otherwise.
     def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @classmethod
@@ -308,9 +264,8 @@ class MPDSolution:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of :func:`verify_solution` and
+class VerificationReport(NamedTuple):
+    """Outcome of :func:`~pairdom.adjacency.verify_solution` and
     :func:`~pairdom.cotree.verify_on_tree`; invalidity is data, not an error.
 
     ``k``, ``s``, ``f`` and ``matched_number`` are recomputed from scratch,
@@ -330,61 +285,6 @@ class VerificationReport:
     problems: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class PropertyViolation:
-    """One failed necessary condition from :func:`check_maximum_properties`.
-
-    ``rule`` names the condition, ``vertex`` is the unmatched restricted
-    vertex it was checked for, ``pair`` the offending pair (when the rule
-    involves one) and ``witness`` the offending neighbor (when one exists).
-    """
-
-    rule: str
-    vertex: int
-    pair: Optional[tuple[int, int]] = None
-    witness: Optional[int] = None
-
-    def __str__(self) -> str:
-        parts = [f"{self.rule}: unmatched restricted {self.vertex}"]
-        if self.pair is not None:
-            parts.append(f"pair {self.pair[0]}-{self.pair[1]}")
-        if self.witness is not None:
-            parts.append(f"witness {self.witness}")
-        return ", ".join(parts)
-
-
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a validated graph from an edge list.
-
-    Rejects (rather than silently dropping) endpoints out of range,
-    self-loops and duplicate edges; the error message names the offending
-    pair.
-
-    >>> build_graph(2, [(0, 1)]).m
-    1
-    """
-    if n < 0:
-        raise GraphError(f"vertex count must be non-negative, got {n}")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
-    m = 0
-    for u, v in edges:
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) has an endpoint out of range 0..{n - 1}")
-        if u == v:
-            raise GraphError(f"self-loop ({u}, {v}) is not allowed")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-        m += 1
-    for row in adj:
-        row.sort()
-    return Graph(n, adj, m)
-
-
 def classify_edge(edge: tuple[int, int], restricted: RestrictedSet) -> EdgeClass:
     """Full/semi/free classification of a pair; symmetric in the endpoints."""
     u, v = edge
@@ -396,71 +296,11 @@ def classify_edge(edge: tuple[int, int], restricted: RestrictedSet) -> EdgeClass
     return EdgeClass.FREE
 
 
-def is_matching(graph: Graph, pairs: Sequence[tuple[int, int]]) -> bool:
-    """True iff every pair is an edge of ``graph`` and no vertex repeats.
-
-    Malformed pairs (out-of-range ids, self-pairs) simply yield ``False``;
-    use :func:`verify_solution` for the reasons.
-    """
-    return verify_solution(graph, RestrictedSet(graph.n), pairs).is_matching
-
-
-def is_dominating(graph: Graph, vertices: Iterable[int]) -> bool:
-    """True iff every vertex outside the set has a neighbor inside it."""
-    mark = bytearray(graph.n)
-    for v in vertices:
-        if 0 <= v < graph.n:
-            mark[v] = 1
-    adj = graph.adj
-    for v in range(graph.n):
-        if mark[v]:
-            continue
-        for w in adj[v]:
-            if mark[w]:
-                break
-        else:
-            return False
-    return True
-
-
-def verify_solution(
-    graph: Graph,
-    restricted: RestrictedSet,
-    pairs: Sequence[tuple[int, int]],
-) -> VerificationReport:
-    """Check a claimed solution from scratch and report.
-
-    ``valid`` means the pairs form a matching whose vertex set dominates the
-    graph.  (Any matching is automatically a perfect matching of the subgraph
-    induced by its own vertex set, so no separate perfect-matching test
-    exists or is needed.)  Statistics are recomputed here; a certificate is
-    attached when one of the two cheap canonicity proofs applies.
-    ``restricted`` must be over ``graph.n`` vertices (``ValueError``
-    otherwise).
-    """
-    _check_nonempty(graph)
-    return _verification_report(
-        graph.n,
-        restricted,
-        pairs,
-        lambda candidates: [graph.has_edge(u, v) for u, v in candidates],
-        lambda mark: is_dominating(graph, compress(range(graph.n), mark)),
-    )
-
-
 def _check_restricted(restricted: RestrictedSet, n: int) -> None:
     """Every consumer of a restricted set takes it over the graph's own
     ``n`` vertices, and raises ``ValueError`` for any other count."""
     if restricted.n != n:
         raise ValueError(f"restricted set is over {restricted.n} vertices, graph has {n}")
-
-
-def _check_nonempty(graph: Graph) -> None:
-    """The empty graph has no cotree, so every consumer that answers for a
-    graph (``recognize``, and through it ``solve``, the oracle and
-    ``verify_solution``) raises the same :class:`GraphError` for it."""
-    if graph.n == 0:
-        raise GraphError("the empty graph is not an instance: it has no cotree")
 
 
 def _verification_report(
@@ -470,8 +310,9 @@ def _verification_report(
     are_edges: Callable[[list[tuple[int, int]]], Sequence[bool]],
     dominates: Callable[[bytearray], bool],
 ) -> VerificationReport:
-    """The report of :func:`verify_solution` on an ``n``-vertex graph that
-    is known only through two answers, each asked once.  ``are_edges``
+    """The report of :func:`~pairdom.adjacency.verify_solution` on an
+    ``n``-vertex graph that is known only through two answers, each asked
+    once.  ``are_edges``
     gets the pairs of two distinct in-range vertices in input order and
     answers for each whether it is an edge; ``dominates`` gets the 0/1
     flags of the vertices the in-range pairs touch.  One loop over the
@@ -530,173 +371,6 @@ def _verification_report(
         certificate=certificate,
         problems=tuple(problems),
     )
-
-
-def check_maximum_properties(
-    graph: Graph,
-    restricted: RestrictedSet,
-    solution: MPDSolution | Sequence[tuple[int, int]],
-) -> list[PropertyViolation]:
-    """Check the four necessary conditions of a maximum solution.
-
-    For every unmatched restricted vertex ``y`` of a solution with maximum
-    matched number (on a connected graph) all of these must hold:
-
-    1. ``free-pair-neighbor``: ``y`` is adjacent to neither endpoint of any
-       free pair (else re-pairing would cover ``y``).
-    2. ``uncovered-neighborhood``: every neighbor of ``y`` is matched
-       (else ``y`` could simply be paired with it).
-    3. ``partner-neighborhood``: if ``y`` is adjacent to one endpoint of a
-       full or semi pair, the other endpoint has no unmatched neighbor
-       besides ``y`` (else a two-pair exchange would cover ``y``).
-    4. ``semi-restricted-neighbor``: ``y`` is not adjacent to the restricted
-       endpoint of any semi pair (else stealing that partner covers ``y``).
-
-    An empty result is necessary but not sufficient for maximality; it is
-    used as a property check against solver output.  The solution must be
-    valid and ``restricted`` must be over ``graph.n`` vertices
-    (``ValueError`` otherwise); connectivity of ``graph`` is the caller's
-    responsibility.
-    """
-    pairs: Sequence[tuple[int, int]]
-    if isinstance(solution, MPDSolution):
-        pairs = [(p.u, p.v) for p in solution.pairs]
-    else:
-        pairs = [(p[0], p[1]) for p in solution]
-
-    report = verify_solution(graph, restricted, pairs)
-    if not report.valid:
-        raise ValueError(f"solution is not valid: {'; '.join(report.problems) or 'not dominating'}")
-
-    n = graph.n
-    matched = bytearray(n)
-    for u, v in pairs:
-        matched[u] = 1
-        matched[v] = 1
-
-    unmatched_restricted = [v for v in restricted.members() if not matched[v]]
-    if not unmatched_restricted:
-        return []
-
-    # Per-vertex endpoint roles.
-    partner = [-1] * n
-    pair_cls: dict[int, EdgeClass] = {}
-    for u, v in pairs:
-        partner[u] = v
-        partner[v] = u
-        c = classify_edge((u, v), restricted)
-        pair_cls[u] = c
-        pair_cls[v] = c
-
-    # For rule 3: per vertex, how many neighbors are unmatched, plus up to
-    # two examples so the offending neighbor can be named even when one of
-    # them is the probe vertex itself.
-    out_count = [0] * n
-    out_first = [-1] * n
-    out_second = [-1] * n
-    adj = graph.adj
-    for v in range(n):
-        cnt = 0
-        first = second = -1
-        for w in adj[v]:
-            if not matched[w]:
-                cnt += 1
-                if first < 0:
-                    first = w
-                elif second < 0:
-                    second = w
-        out_count[v] = cnt
-        out_first[v] = first
-        out_second[v] = second
-
-    violations: list[PropertyViolation] = []
-    seen: set[tuple[str, int, int, int]] = set()
-
-    def emit(rule: str, y: int, pair: Optional[tuple[int, int]], witness: Optional[int]) -> None:
-        key = (rule, y, -1 if pair is None else min(pair), -1 if witness is None else witness)
-        if key not in seen:
-            seen.add(key)
-            violations.append(PropertyViolation(rule, y, pair, witness))
-
-    for y in unmatched_restricted:
-        for w in adj[y]:
-            if not matched[w]:
-                emit("uncovered-neighborhood", y, None, w)
-                continue
-            c = pair_cls[w]
-            p = (w, partner[w])
-            if c is EdgeClass.FREE:
-                emit("free-pair-neighbor", y, (min(p), max(p)), w)
-                continue
-            if c is EdgeClass.SEMI and w in restricted:
-                emit("semi-restricted-neighbor", y, (min(p), max(p)), w)
-            # Rule 3 applies to full and semi pairs alike: the partner of the
-            # touched endpoint must have no unmatched neighbor other than y.
-            other = partner[w]
-            cnt = out_count[other]
-            if cnt == 0:
-                continue
-            if cnt == 1 and out_first[other] == y:
-                continue
-            witness = out_first[other] if out_first[other] != y else out_second[other]
-            emit("partner-neighborhood", y, (min(p), max(p)), witness)
-
-    return violations
-
-
-# ---------------------------------------------------------------------------
-# Text format (shared with the CLI)
-#
-#   p <n> <m>          header
-#   e <u> <v>          exactly m edge lines, 0-based vertex ids
-#   # ...              comment lines, anywhere
-# ---------------------------------------------------------------------------
-
-
-def parse_graph_text(text: str) -> Graph:
-    """Parse the ``p``/``e`` graph format; raises :class:`GraphError`."""
-    header = False
-    n = m_declared = 0
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if header:
-                raise GraphError(f"line {lineno}: duplicate 'p' header")
-            if len(fields) != 3:
-                raise GraphError(f"line {lineno}: expected 'p <n> <m>'")
-            try:
-                n, m_declared = _int_token(fields[1]), _int_token(fields[2])
-            except ValueError:
-                raise GraphError(f"line {lineno}: non-integer in 'p' header") from None
-            if n < 0 or m_declared < 0:
-                raise GraphError(f"line {lineno}: negative count in 'p' header")
-            header = True
-        elif fields[0] == "e":
-            if not header:
-                raise GraphError(f"line {lineno}: 'e' line before 'p' header")
-            if len(fields) != 3:
-                raise GraphError(f"line {lineno}: expected 'e <u> <v>'")
-            try:
-                edges.append((_int_token(fields[1]), _int_token(fields[2])))
-            except ValueError:
-                raise GraphError(f"line {lineno}: non-integer endpoint") from None
-        else:
-            raise GraphError(f"line {lineno}: unknown record {fields[0]!r}")
-    if not header:
-        raise GraphError("missing 'p <n> <m>' header")
-    if len(edges) != m_declared:
-        raise GraphError(f"header declares {m_declared} edges, found {len(edges)}")
-    return build_graph(n, edges)
-
-
-def format_graph_text(graph: Graph) -> str:
-    lines = [f"p {graph.n} {graph.m}"]
-    lines.extend(f"e {u} {v}" for u, v in graph.edges())
-    return "\n".join(lines) + "\n"
 
 
 def parse_restricted_text(text: str, n: int) -> RestrictedSet:

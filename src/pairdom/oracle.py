@@ -19,14 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import (
-    Graph,
-    MPDSolution,
-    NoSolutionError,
-    RestrictedSet,
-    _check_nonempty,
-    _check_restricted,
-)
+from .adjacency import Graph, _check_nonempty
+from .graphs import MPDSolution, NoSolutionError, RestrictedSet, _check_restricted
 
 __all__ = [
     "OracleCapExceeded",

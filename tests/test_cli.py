@@ -37,7 +37,8 @@ from pairdom.cli import (
     main,
     parse_solution_text,
 )
-from pairdom.cotree import DEFAULT_EDGE_CAP, JOIN
+from pairdom.adjacency import DEFAULT_EDGE_CAP
+from pairdom.cotree import JOIN
 from conftest import (
     NEGATIVE_HEADER_GRAPH_TEXTS,
     NON_NUMBER_GRAPH_TEXTS,
@@ -332,7 +333,7 @@ class TestOracle:
         def fail(*args, **kwargs):
             raise AssertionError("materialize called")
 
-        monkeypatch.setattr("pairdom.cli.materialize", fail)
+        monkeypatch.setattr("pairdom.adjacency.materialize", fail)
         ct = write(tmp_path, "t.ct", f"(* {' '.join(map(str, range(17)))})\n")
         code = main(["oracle", "--cotree", ct])
         assert code == EXIT_INPUT
@@ -485,51 +486,60 @@ class TestBench:
 
 
 class TestImports:
-    def test_verify_imports_neither_solver_nor_oracle(self, tmp_path):
-        # A fresh interpreter: this one has imported everything already.
-        ct = write(tmp_path, "k2.ct", "(* 0 1)\n")
-        sol = write(tmp_path, "k2.sol", "beta 2\nkfs 1 0 0\npair 0 1 full\n")
+    # Modules that only some commands run: the explicit-graph code, the
+    # solver, the diagnostics, the oracle and the modules behind their
+    # imports (``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis``).
+    WATCHED = (
+        "dataclasses",
+        "inspect",
+        "pairdom.adjacency",
+        "pairdom.diagnostics",
+        "pairdom.oracle",
+        "pairdom.solver",
+        "statistics",
+    )
+
+    def run_cli(self, tmp_path, argv: list[str]) -> tuple[int, list[str]]:
+        """Run ``python -m pairdom.cli *argv`` in a fresh interpreter (this
+        one has imported everything already); its exit code and the watched
+        modules it loaded."""
         script = (
-            "import sys\n"
-            "from pairdom.cli import main\n"
-            f"code = main(['verify', '--cotree', {ct!r}, '--restricted', '0,1',"
-            f" '--solution', {sol!r}])\n"
-            "loaded = sorted({'pairdom.solver', 'pairdom.oracle', 'statistics'}"
-            " & set(sys.modules))\n"
-            "print(code, loaded)\n"
+            "import runpy, sys\n"
+            f"sys.argv = ['pairdom', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('pairdom.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            f"print(code, *sorted(set({self.WATCHED!r}) & set(sys.modules)))\n"
         )
-        src = str(Path(pairdom.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
             text=True,
             timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": SRC},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        code, *loaded = proc.stdout.splitlines()[-1].split()
+        return int(code), loaded
+
+    def test_verify_imports_neither_solver_nor_oracle(self, tmp_path):
+        ct = write(tmp_path, "k2.ct", "(* 0 1)\n")
+        sol = write(tmp_path, "k2.sol", "beta 2\nkfs 1 0 0\npair 0 1 full\n")
+        argv = ["verify", "--cotree", ct, "--restricted", "0,1", "--solution", sol]
+        assert self.run_cli(tmp_path, argv) == (EXIT_OK, [])
 
     def test_solve_does_not_import_the_diagnostics(self, tmp_path):
         ct = write(tmp_path, "k2.ct", "(* 0 1)\n")
         out = tmp_path / "k2.sol"
-        script = (
-            "import sys\n"
-            "from pairdom.cli import main\n"
-            f"code = main(['solve', '--cotree', {ct!r}, '--restricted', '0,1',"
-            f" '--output', {str(out)!r}])\n"
-            "print(code, sorted({'pairdom.solver', 'pairdom.diagnostics'} & set(sys.modules)))\n"
-        )
-        src = str(Path(pairdom.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 ['pairdom.solver']"
+        argv = ["solve", "--cotree", ct, "--restricted", "0,1", "--output", str(out)]
+        assert self.run_cli(tmp_path, argv) == (EXIT_OK, ["pairdom.solver"])
         assert out.read_text() == "beta 2\nkfs 1 0 0\npair 0 1 full\n"
+
+    @pytest.mark.parametrize("argv", [["gen", "-n", "5", "--density", "0.5"], ["--help"]])
+    def test_gen_and_help_load_none_of_the_command_code(self, tmp_path, argv):
+        assert self.run_cli(tmp_path, argv) == (EXIT_OK, [])
 
     def test_summary_view_loads_from_the_package(self):
         from pairdom.diagnostics import SummaryView

@@ -20,7 +20,7 @@ import random
 import pytest
 
 from pairdom import P4Witness, materialize, random_cotree, recognize, serialize_cotree
-from pairdom.graphs import Graph, build_graph
+from pairdom.adjacency import Graph, build_graph
 
 COUNT = 400
 
