@@ -334,7 +334,7 @@ def check_maximum_properties(
 
 
 # ---------------------------------------------------------------------------
-# Text format (shared with the CLI)
+# Graph text format (shared with the CLI)
 #
 #   p <n> <m>          header
 #   e <u> <v>          exactly m edge lines, 0-based vertex ids
