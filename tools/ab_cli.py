@@ -63,8 +63,8 @@ def run_child(src: Path, work: Path, args: list[str], out: Path) -> tuple[float,
         if pid:
             break
         try:
-            with open(status_path, encoding="ascii") as fh:
-                for line in fh:
+            with open(status_path, encoding="ascii") as status_file:
+                for line in status_file:
                     if line.startswith("VmHWM:"):
                         peak = max(peak, int(line.split()[1]))
         except OSError:
@@ -81,8 +81,8 @@ def main() -> None:
         raise SystemExit(__doc__)
     packages = [sys.argv[1], sys.argv[2] if len(sys.argv) == 3 else str(ROOT / "src" / "pairdom")]
     srcs = [Path(p).resolve().parent for p in packages]
-    flag = os.environ.get("PYTHONDONTWRITEBYTECODE")
-    print(f"PYTHONDONTWRITEBYTECODE is {'set to ' + repr(flag) if flag else 'not set'}")
+    no_pyc = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    print(f"PYTHONDONTWRITEBYTECODE is {'set to ' + repr(no_pyc) if no_pyc else 'not set'}")
     cpu = {(w, c): ([], []) for w in WORKLOADS for c in COMMANDS}
     rss = {(w, c): ([], []) for w in WORKLOADS for c in COMMANDS}
     with tempfile.TemporaryDirectory() as tmp:
