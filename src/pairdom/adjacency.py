@@ -563,7 +563,7 @@ def recognize(graph: Graph) -> Union[Cotree, P4Witness]:
     # the parts are explored last first, and each inner chain node waits on
     # the stack, as its kind, between its right operand and the rest of the
     # chain.  Subsets wait on the stack as lists.
-    kind: list[int] = []
+    kind = bytearray()
     labels: list[int] = []
     stack: list[Union[list[int], int]] = [sorted(range(n))]
     while stack:

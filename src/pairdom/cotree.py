@@ -7,7 +7,7 @@ vertices and whose internal nodes carry the operation; materializing the tree
 reproduces the graph.  Equivalently, cographs are exactly the graphs with no
 induced path on four vertices.
 
-The tree is stored as a flat arena (parallel lists) rather than node objects
+The tree is stored as a flat arena (parallel arrays) rather than node objects
 so million-leaf instances stay cheap to traverse; everything that walks it is
 iterative, never recursive.  This module holds the tree, its text format,
 its generators and the solution check on the tree, none of which builds an
@@ -60,28 +60,31 @@ class Cotree:
     Every tree is stored in the postfix form: ``kind`` in left-first
     postorder (each subtree a contiguous index range ending at its root, the
     left one first, so ``root`` is the last index), and in ``a`` the leaf
-    labels with -1 at every internal node.  The kinds fix the shape, so the
-    first read of ``a`` or ``b`` derives the child indices: ``a[i]``/``b[i]``
-    are then the children of internal node ``i``, and ``b[i]`` is -1 at a
-    leaf.  No walker in the package reads them; all read :meth:`leaf_labels`
-    and the kinds.  ``a`` is the only store of the leaf labels, so writing
-    ``a[i]`` at a leaf relabels it for every reader.  Instances are
-    otherwise immutable by convention after construction.
+    labels with -1 at every internal node.  Every builder, and the import of
+    a child-array arena, stores ``kind`` as a ``bytearray``, one byte per
+    node.  The kinds fix the shape, so the first read of ``a`` or ``b``
+    derives the child indices: ``a[i]``/``b[i]`` are then the children of
+    internal node ``i``, and ``b[i]`` is -1 at a leaf.  No walker in the
+    package reads them; all read :meth:`leaf_labels` and the kinds.  ``a``
+    is the only store of the leaf labels, so writing ``a[i]`` at a leaf
+    relabels it for every reader.  Instances are otherwise immutable by
+    convention after construction.
 
     Every arena built by hand is checked once, at construction, and raises
     ``ValueError`` unless it is a tree over exactly those leaves.  With
-    ``b=None`` the lists must already be the postfix form; they are checked
-    by :meth:`validate` and become the tree's.  With both child arrays, in
-    any node order, the arena is checked and copied into the postfix form
-    by :func:`_postfix`; the caller's lists are not touched.  The package's
-    builders store their postfix through :func:`_built`, unchecked.
+    ``b=None`` the sequences must already be the postfix form; they are
+    checked by :meth:`validate` and become the tree's as given, so a list
+    of kinds stays a list.  With both child arrays, in any node order, the
+    arena is checked and copied into the postfix form by :func:`_postfix`;
+    the caller's lists are not touched.  The package's builders store their
+    postfix through :func:`_built`, unchecked.
     """
 
     __slots__ = ("kind", "_a", "_b", "root", "leaf_count")
 
     def __init__(
         self,
-        kind: list[int],
+        kind: Sequence[int],
         a: list[int],
         b: Optional[list[int]],
         root: int,
@@ -165,7 +168,7 @@ class Cotree:
 
 def _postfix(
     kind: Sequence[int], a: Sequence[int], b: Sequence[int], root: int, leaf_count: int
-) -> tuple[list[int], list[int]]:
+) -> tuple[bytearray, list[int]]:
     """The kinds and leaf labels (-1 at internal nodes) of a child-array
     arena, in left-first postorder; raises ``ValueError`` unless every node
     is reached from ``root`` exactly once through in-range children, every
@@ -180,7 +183,7 @@ def _postfix(
             f"cannot hold {leaf_count} leaves"
         )
     # Node, right subtree, left subtree; reversed, left-first postorder.
-    out_kind: list[int] = []
+    out_kind = bytearray()
     out_a: list[int] = []
     seen = bytearray(nodes)
     labelled = bytearray(leaf_count)
@@ -192,7 +195,6 @@ def _postfix(
             raise ValueError(f"node {i} is reached twice from the root")
         seen[i] = 1
         k = kind[i]
-        out_kind.append(k)
         if k == LEAF:
             if b[i] != -1:
                 raise ValueError(f"leaf node {i} has a right child")
@@ -202,8 +204,10 @@ def _postfix(
                     f"leaf node {i} has label {x}: out of 0..{leaf_count - 1} or repeated"
                 )
             labelled[x] = 1
+            out_kind.append(LEAF)
             out_a.append(x)
         elif k == JOIN or k == UNION:
+            out_kind.append(JOIN if k == JOIN else UNION)
             out_a.append(-1)
             for c in (a[i], b[i]):
                 if not 0 <= c < nodes:
@@ -218,7 +222,7 @@ def _postfix(
     return out_kind, out_a
 
 
-def _built(kind: list[int], a: list[int], leaf_count: int) -> Cotree:
+def _built(kind: bytearray, a: list[int], leaf_count: int) -> Cotree:
     """The tree of a builder's postfix, stored as it is.  A builder's
     output is a postfix over ``0..leaf_count-1`` by construction, so it
     skips the constructor's check."""
@@ -266,7 +270,7 @@ def parse_cotree(text: str) -> Cotree:
     with no repeats, where ``n`` is the number of leaves.  Errors report a
     character position.
     """
-    kind: list[int] = []
+    kind = bytearray()
     arena_a: list[int] = []
     add_kind, add_a = kind.append, arena_a.append
     # The open frame is (op, operand count), held in locals; enclosing frames
@@ -572,7 +576,7 @@ def random_cotree(n: int, join_bias: float, seed: int) -> Cotree:
     # of jumping through the shuffled objects of range(n).
     labels = [x + 0 for x in labels]
 
-    kind: list[int] = []
+    kind = bytearray()
     arena_a: list[int] = []
 
     # Depth-first, left child first: the draws happen in preorder, so the

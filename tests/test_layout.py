@@ -11,6 +11,7 @@ at construction.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,7 +131,8 @@ class TestBuildersStorePostorder:
         # (* 0 (+ 1 2)), stored root first.
         arena = ([JOIN, LEAF, UNION, LEAF, LEAF], [1, 0, 3, 1, 2], [2, -1, 4, -1, -1])
         tree = Cotree(*arena, 0, 3)
-        assert (tree.kind, tree._a, tree.root) == ([LEAF, LEAF, LEAF, UNION, JOIN], [0, 1, 2, -1, -1], 4)
+        assert (tree.kind, tree._a, tree.root) == (
+            bytearray([LEAF, LEAF, LEAF, UNION, JOIN]), [0, 1, 2, -1, -1], 4)
         assert arena == ([JOIN, LEAF, UNION, LEAF, LEAF], [1, 0, 3, 1, 2], [2, -1, 4, -1, -1])
         assert_postfix(tree)
         assert serialize_cotree(tree) == "(* 0 (+ 1 2))"
@@ -235,6 +237,10 @@ def malformed_arenas():
     yield "root out of range", "rooted at 5", (kind, [1, 0, 3, 1, 2], [2, -1, 4, -1, -1], 5, 3)
     yield "short child array", "5/5/4 nodes", (kind, [1, 0, 3, 1, 2], [2, -1, 4, -1], 0, 3)
     yield "unknown kind", "kind 7", ([JOIN, LEAF, 7, LEAF, LEAF], [1, 0, 3, 1, 2], [2, -1, 4, -1, -1], 0, 3)
+    # Kinds that no byte holds, or that are not integers, get the same error.
+    for bad in (-1, 256, "x", None, 1.5):
+        yield f"kind {bad!r}", re.escape(f"node 2 has kind {bad!r}"), (
+            [JOIN, LEAF, bad, LEAF, LEAF], [1, 0, 3, 1, 2], [2, -1, 4, -1, -1], 0, 3)
     yield "label out of range", "label 3", (kind, [1, 0, 3, 1, 3], [2, -1, 4, -1, -1], 0, 3)
     yield "negative label", "label -1", (kind, [1, -1, 3, 1, 2], [2, -1, 4, -1, -1], 0, 3)
     yield "repeated label", "label 1", (kind, [1, 1, 3, 1, 2], [2, -1, 4, -1, -1], 0, 3)

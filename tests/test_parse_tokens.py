@@ -121,12 +121,13 @@ def reference_parse(text: str) -> tuple[list[int], list[int]]:
 
 
 def outcome(text: str):
-    """What ``parse_cotree`` gives: its lists, or its error and position."""
+    """What ``parse_cotree`` gives: its kinds and labels as lists, or its
+    error and position."""
     try:
         tree = parse_cotree(text)
     except CotreeParseError as err:
         return str(err), err.position
-    return tree.kind, tree._a
+    return list(tree.kind), tree._a
 
 
 def reference_outcome(text: str):

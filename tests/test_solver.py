@@ -925,7 +925,7 @@ class TestBalancedRootContract:
             members = rng.sample(range(nl), k) + [nl + v for v in rng.sample(range(nr), k)]
             n = nl + nr
             # splice the two trees under a join root
-            kind = left.kind + [x for x in right.kind]
+            kind = list(left.kind) + list(right.kind)
             a = left.a + [(x + len(left.kind)) if right.kind[i] != 0 else right.a[i] + nl
                           for i, x in enumerate(right.a)]
             b = left.b + [(x + len(left.kind)) if x >= 0 else -1 for x in right.b]

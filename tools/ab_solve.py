@@ -12,10 +12,14 @@ of perfbench's two workloads (``perfbench/instances.py``, seed 1), each
 child times 20 rounds per copy of perfbench's text op, call by call with
 ``time.process_time``: ``parse_cotree`` of the workload's text, ``solve()``
 of that tree and ``format_solution`` of the result, in an order that flips
-every round.  Its first round checks that the copies return the same arena,
-the same pairs and the same text.  Prints, per workload and timed call, each
-child's medians, per-round ratio and the second copy's wins, then the
-pooled ones.
+every round.  Its first round checks that the copies return the same arena
+(kinds compared as lists, whatever sequence each copy stores them in), the
+same pairs and the same text.  After the timed rounds, each child makes one
+untimed ``tracemalloc`` pass per copy and workload: the bytes per leaf that
+the parsed tree holds, and the traced peak of ``solve()`` above what was
+allocated before it, which RSS layout noise does not blur.  Prints, per
+workload and timed call, each child's medians, per-round ratio and the
+second copy's wins, then the pooled ones, then each child's memory readings.
 """
 
 import importlib
@@ -26,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,14 +74,31 @@ def child(first: str, trees: list[Path]) -> None:
                     times["solve"][i].append(solved - parsed)
                     times["format_solution"][i].append(time.process_time() - solved)
                     if rnd == 0:
-                        outputs.append(((tree.kind, tree._a),
+                        outputs.append(((list(tree.kind), tree._a),
                                         [(p.u, p.v, p.cls.value) for p in sol.pairs], text))
                     del tree, sol, text
                 if rnd == 0 and outputs[0] != outputs[1]:
                     raise SystemExit(f"{workload}: the two copies disagree")
-            out[workload] = times
+            out[workload] = {**times, "memory": [memory(mod, tree_text, sets[i], n)
+                                                  for i, mod in enumerate(mods)]}
             del tree_text, sets
     print(json.dumps(out))
+
+
+def memory(mod, tree_text: str, restricted, n: int) -> tuple[float, float]:
+    """The bytes per leaf of ``mod``'s parsed tree and ``solve()``'s traced
+    peak in MB above what was allocated before it, from one untimed pass."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = mod.parse_cotree(tree_text)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mod.solve(tree, restricted)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    return (held - before) / n, peak / 1e6
 
 
 def summary(times: list[list[float]]) -> str:
@@ -112,6 +134,10 @@ def main() -> None:
             pooled = [halves["a"][workload][call][i] + halves["b"][workload][call][i]
                       for i in (0, 1)]
             print(f"{workload} {call}, pooled: {summary(pooled)}")
+        for first in "ab":
+            print(f"{workload} memory, {first} loaded first: " + "; ".join(
+                f"{copy} parsed tree {per_leaf:.1f} B/leaf, solve() peak {peak:.1f} MB"
+                for copy, (per_leaf, peak) in zip("ab", halves[first][workload]["memory"])))
 
 if __name__ == "__main__":
     main()
