@@ -14,7 +14,10 @@ from importlib import import_module
 from .cotree import (
     Cotree,
     CotreeParseError,
+    caterpillar_cotree,
+    join_cotrees,
     parse_cotree,
+    perfect_join_cotree,
     random_cotree,
     random_restricted,
     serialize_cotree,
@@ -99,6 +102,7 @@ __all__ = [
     "SummaryView",
     "VerificationReport",
     "build_graph",
+    "caterpillar_cotree",
     "check_maximum_properties",
     "classify_edge",
     "enumerate_dominating_matchings",
@@ -107,12 +111,14 @@ __all__ = [
     "is_dominating",
     "is_induced_p4",
     "is_matching",
+    "join_cotrees",
     "materialize",
     "oracle_canonical",
     "oracle_paired_domination_number",
     "parse_cotree",
     "parse_graph_text",
     "parse_restricted_text",
+    "perfect_join_cotree",
     "random_cotree",
     "random_restricted",
     "recognize",

@@ -312,39 +312,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_instance_args(p: argparse.ArgumentParser, graph_only: bool = False) -> None:
-        if not graph_only:
-            src = p.add_mutually_exclusive_group(required=True)
-            src.add_argument("--cotree", help="decomposition tree file (s-expression)")
-            src.add_argument("--graph", help="graph file (p/e format); recognized first")
-        else:
-            p.add_argument("--graph", required=True, help="graph file (p/e format)")
+    def add_instance_args(p: argparse.ArgumentParser) -> None:
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--cotree", help="decomposition tree file (s-expression)")
+        src.add_argument("--graph", help="graph file (p/e format); recognized first")
+        p.add_argument("--restricted", help="file path or inline comma list (default: empty)")
 
-    p = sub.add_parser("solve", help="solve one instance")
-    add_instance_args(p)
-    p.add_argument("--restricted", help="file path or inline comma list (default: empty)")
-    p.add_argument("--output", help="write the solution here instead of stdout")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("verify", help="check a solution file against an instance")
-    add_instance_args(p)
-    p.add_argument("--restricted", help="file path or inline comma list (default: empty)")
-    p.add_argument("--solution", required=True, help="solution file to check")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("oracle", help="exhaustive optimum for small instances")
-    add_instance_args(p)
-    p.add_argument("--restricted", help="file path or inline comma list (default: empty)")
-    p.add_argument("--gamma-p", action="store_true", help="print the paired-domination number only")
-
-    def cap(text: str) -> int:
-        # Below 1 no instance fits: the empty graph is not one.
+    def at_least_one(text: str) -> int:
+        # A cap below 1 admits no instance (the empty graph is not one), and
+        # no repeat leaves no time to take a median of.
         value = int(text)
         if value < 1:
             raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
         return value
 
-    p.add_argument("--max-n", type=cap, default=16, help="exhaustive-search vertex cap")
+    p = sub.add_parser("solve", help="solve one instance")
+    add_instance_args(p)
+    p.add_argument("--output", help="write the solution here instead of stdout")
+    p.set_defaults(func=_cmd_solve)
+
+    p = sub.add_parser("verify", help="check a solution file against an instance")
+    add_instance_args(p)
+    p.add_argument("--solution", required=True, help="solution file to check")
+    p.set_defaults(func=_cmd_verify)
+
+    p = sub.add_parser("oracle", help="exhaustive optimum for small instances")
+    add_instance_args(p)
+    p.add_argument("--gamma-p", action="store_true", help="print the paired-domination number only")
+    p.add_argument("--max-n", type=at_least_one, default=16, help="exhaustive-search vertex cap")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
@@ -362,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("recognize", help="decompose a graph or print a P4 witness")
-    add_instance_args(p, graph_only=True)
+    p.add_argument("--graph", required=True, help="graph file (p/e format)")
     p.set_defaults(func=_cmd_recognize)
 
     p = sub.add_parser("bench", help="timing table over generated instances")
@@ -370,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--join-bias", type=float, default=0.5)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=at_least_one, default=5)
     p.add_argument("--output", help="write the CSV here instead of stdout")
     p.set_defaults(func=_cmd_bench)
 

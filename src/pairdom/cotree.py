@@ -35,6 +35,9 @@ __all__ = [
     "serialize_cotree",
     "verify_on_tree",
     "random_cotree",
+    "perfect_join_cotree",
+    "caterpillar_cotree",
+    "join_cotrees",
     "random_restricted",
 ]
 
@@ -556,6 +559,13 @@ def _unseen(tree: Cotree, mark: Optional[bytearray]) -> list[int]:
     return out
 
 
+def _check_shape(n: int, join_bias: float) -> None:
+    if n < 1:
+        raise ValueError(f"leaf count must be at least 1, got {n}")
+    if not 0.0 <= join_bias <= 1.0:
+        raise ValueError(f"join_bias must be in [0, 1], got {join_bias}")
+
+
 def random_cotree(n: int, join_bias: float, seed: int) -> Cotree:
     """Seeded random tree: uniform recursive splits, biased operation choice.
 
@@ -564,10 +574,7 @@ def random_cotree(n: int, join_bias: float, seed: int) -> Cotree:
     labeled by a seeded permutation of ``0..n-1`` in left-to-right order.
     Pure in ``(n, join_bias, seed)``.
     """
-    if n < 1:
-        raise ValueError(f"leaf count must be at least 1, got {n}")
-    if not 0.0 <= join_bias <= 1.0:
-        raise ValueError(f"join_bias must be in [0, 1], got {join_bias}")
+    _check_shape(n, join_bias)
     rng = random.Random(seed)
     labels = list(range(n))
     rng.shuffle(labels)
@@ -603,6 +610,61 @@ def random_cotree(n: int, join_bias: float, seed: int) -> Cotree:
             add_kind(-size)
             add_a(-1)
     return _built(kind, arena_a, n)
+
+
+def perfect_join_cotree(n: int) -> Cotree:
+    """Perfect binary tree of joins over ``n`` leaves, a power of two: the
+    complete graph on ``0..n-1``, labelled left to right."""
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"leaf count must be a power of two, got {n}")
+    kind = bytearray()
+    arena_a: list[int] = []
+    # Leaf v - 1 completes one subtree per trailing zero bit of v, each of
+    # them a join.
+    for v in range(1, n + 1):
+        joins = (v & -v).bit_length() - 1
+        kind.append(LEAF)
+        kind.extend([JOIN] * joins)
+        arena_a.append(v - 1)
+        arena_a.extend([-1] * joins)
+    return _built(kind, arena_a, n)
+
+
+def caterpillar_cotree(n: int, join_bias: float, seed: int) -> Cotree:
+    """Seeded left spine: ``n - 1`` operations, each adding one leaf on the
+    right and each a join with probability ``join_bias``, drawn from
+    ``random.Random(seed)``.  The leaves are labeled by a permutation of
+    ``0..n-1`` shuffled by ``random.Random(seed + 1)``, in left-to-right
+    order.  Pure in ``(n, join_bias, seed)``.
+    """
+    _check_shape(n, join_bias)
+    draw = random.Random(seed).random
+    labels = list(range(n))
+    random.Random(seed + 1).shuffle(labels)
+    kind = bytearray([LEAF])
+    arena_a = [labels[0]]
+    for x in islice(labels, 1, None):
+        kind.append(LEAF)
+        kind.append(JOIN if draw() < join_bias else UNION)
+        arena_a.append(x)
+        arena_a.append(-1)
+    return _built(kind, arena_a, n)
+
+
+def join_cotrees(left: Cotree, right: Cotree) -> Cotree:
+    """The join of two trees: ``left``'s postfix, then ``right``'s with its
+    labels shifted by ``left.leaf_count``, then the join root.  The inputs
+    are read, not changed, and their labels only at leaves: ``a`` holds
+    child indices at the internal nodes of a tree whose child view was
+    derived."""
+    shift = left.leaf_count
+    kind = bytearray(left.kind)
+    kind += bytearray(right.kind)
+    kind.append(JOIN)
+    arena_a = [x if k == LEAF else -1 for k, x in zip(left.kind, left._a)]
+    arena_a += [x + shift if k == LEAF else -1 for k, x in zip(right.kind, right._a)]
+    arena_a.append(-1)
+    return _built(kind, arena_a, shift + right.leaf_count)
 
 
 def random_restricted(n: int, density: float, seed: int) -> RestrictedSet:

@@ -20,6 +20,7 @@ from pairdom import (
     SolveContext,
     check_maximum_properties,
     is_induced_p4,
+    join_cotrees,
     materialize,
     oracle_canonical,
     oracle_paired_domination_number,
@@ -43,21 +44,6 @@ from conftest import (
 def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[acceptance] {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{criterion} failed: {detail}"
-
-
-def _join_of(left: Cotree, right: Cotree) -> Cotree:
-    """Splice two trees under a join root; right leaves shift by left count."""
-    nl = left.leaf_count
-    off = len(left.kind)
-    kind = left.kind + right.kind
-    a = left.a + [
-        (x + off) if right.kind[i] != 0 else x + nl for i, x in enumerate(right.a)
-    ]
-    b = left.b + [(x + off) if x >= 0 else -1 for x in right.b]
-    kind.append(2)
-    a.append(left.root)
-    b.append(right.root + off)
-    return Cotree(kind, a, b, len(kind) - 1, nl + right.leaf_count)
 
 
 def test_criterion_1_oracle_differential():
@@ -249,7 +235,7 @@ def test_criterion_8_balanced_root_contract():
         nl = rng.randint(1, 40)
         nr = rng.randint(1, 40)
         k = rng.randint(1, min(nl, nr))
-        tree = _join_of(
+        tree = join_cotrees(
             random_cotree(nl, rng.choice([0.3, 0.5, 0.8]), seed),
             random_cotree(nr, rng.choice([0.3, 0.5, 0.8]), seed + 1),
         )

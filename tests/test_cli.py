@@ -484,6 +484,16 @@ class TestBench:
         assert captured.out == "no-solution isolated 1 4\n"
         assert captured.err == ""
 
+    @pytest.mark.parametrize("argv", [["--repeats", "-1"], ["--repeats=-3"], ["--repeats", "0"]])
+    def test_repeats_below_one_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--sizes", "10", *argv])
+        assert err.value.code == EXIT_INPUT
+        repeats = argv[-1].rpartition("=")[2]
+        assert capsys.readouterr().err.endswith(
+            f"pairdom bench: error: argument --repeats: must be at least 1, got {repeats}\n"
+        )
+
 
 class TestImports:
     # Modules that only some commands run: the explicit-graph code, the

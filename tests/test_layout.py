@@ -20,8 +20,11 @@ from pairdom import (
     Cotree,
     NoSolutionError,
     SolveContext,
+    caterpillar_cotree,
+    join_cotrees,
     materialize,
     parse_cotree,
+    perfect_join_cotree,
     random_cotree,
     random_restricted,
     recognize,
@@ -156,7 +159,9 @@ class TestBuildersStorePostorder:
         graph = materialize(parse_cotree("(* 0 (+ 1 2))"))
         monkeypatch.setattr(Cotree, "validate", refuse)
         monkeypatch.setattr(cotree, "_postfix", refuse)
-        trees = [parse_cotree("(* 0 (+ 1 2))"), random_cotree(40, 0.5, 1), recognize(graph)]
+        trees = [parse_cotree("(* 0 (+ 1 2))"), random_cotree(40, 0.5, 1), recognize(graph),
+                 perfect_join_cotree(16), caterpillar_cotree(40, 0.5, 1),
+                 join_cotrees(random_cotree(5, 0.5, 2), random_cotree(7, 0.5, 3))]
         monkeypatch.undo()
         for tree in trees:
             assert_postfix(tree)
@@ -196,6 +201,8 @@ class TestOtherLayoutsSolveTheSame:
                 b.append(level[i + 1])
             level = up
         tree = Cotree(kind, a, b, level[0], n)
+        built = perfect_join_cotree(n)
+        assert (tree.kind, tree._a) == (built.kind, built._a)
         renumbered = relaid(tree, left_first_postorder(tree))
         renumbered.validate()
         for restricted in ([], range(n), range(0, n, 3)):

@@ -9,7 +9,7 @@ instances whose text moved.  Groups:
   generated (often a union root with isolated vertices, so the digest is of
   the ``NoSolutionError`` vertex list) and with the root forced to a join
   (always solvable);
-* perfect binary join trees (arena in level order) with R = {} and R = V;
+* perfect binary join trees, their leaves relabeled, with R = {} and R = V;
 * caterpillars: a left spine of random operations, one new leaf per node.
 """
 
@@ -22,12 +22,14 @@ from pairdom import (
     Cotree,
     NoSolutionError,
     RestrictedSet,
+    caterpillar_cotree,
+    perfect_join_cotree,
     random_cotree,
     random_restricted,
     solve,
 )
 from pairdom.cli import format_solution
-from pairdom.cotree import JOIN, LEAF, UNION
+from pairdom.cotree import JOIN, LEAF
 
 GRID_SIZES = (1_000, 10_000)
 GRID_BIASES = (0.2, 0.5, 0.8)
@@ -51,39 +53,6 @@ def _permuted(tree: Cotree, seed: int) -> Cotree:
     return tree
 
 
-def perfect_join_level_order(n: int) -> Cotree:
-    """Perfect join tree over ``n`` (a power of two) leaves, level-order arena."""
-    kind = [LEAF] * n
-    a = list(range(n))
-    b = [-1] * n
-    level = list(range(n))
-    while len(level) > 1:
-        up = []
-        for i in range(0, len(level), 2):
-            up.append(len(kind))
-            kind.append(JOIN)
-            a.append(level[i])
-            b.append(level[i + 1])
-        level = up
-    return Cotree(kind, a, b, level[0], n)
-
-
-def caterpillar(n: int, join_bias: float, seed: int) -> Cotree:
-    """Left spine of ``n - 1`` random operations, each adding one leaf."""
-    rng = random.Random(seed)
-    kind, a, b = [LEAF], [0], [-1]
-    spine = 0
-    for v in range(1, n):
-        kind.append(LEAF)
-        a.append(v)
-        b.append(-1)
-        kind.append(JOIN if rng.random() < join_bias else UNION)
-        a.append(spine)
-        b.append(len(kind) - 2)
-        spine = len(kind) - 1
-    return _permuted(Cotree(kind, a, b, spine, n), seed + 1)
-
-
 def grid_digests() -> dict[str, str]:
     out = {}
     seed = 0
@@ -104,11 +73,11 @@ def grid_digests() -> dict[str, str]:
 def shape_digests() -> dict[str, str]:
     out = {}
     for n in (1 << 10, 1 << 14):
-        tree = _permuted(perfect_join_level_order(n), n)
+        tree = _permuted(perfect_join_cotree(n), n)
         out[f"perfect n={n} R=empty"] = _digest(tree, RestrictedSet.empty(n))
         out[f"perfect n={n} R=V"] = _digest(tree, RestrictedSet(n, range(n)))
     for bias in (0.2, 0.5, 0.8):
-        tree = caterpillar(10_000, bias, 7)
+        tree = caterpillar_cotree(10_000, bias, 7)
         out[f"caterpillar n=10000 bias={bias}"] = _digest(
             tree, random_restricted(10_000, 0.5, 8)
         )

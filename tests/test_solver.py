@@ -17,9 +17,11 @@ from pairdom import (
     SolveContext,
     SolverInternalError,
     check_maximum_properties,
+    join_cotrees,
     materialize,
     oracle_canonical,
     parse_cotree,
+    perfect_join_cotree,
     random_cotree,
     random_restricted,
     serialize_cotree,
@@ -500,13 +502,6 @@ def _solution_text(tree, restricted):
         return f"no-solution {exc.isolated}"
 
 
-def _perfect_join_text(lo, hi):
-    if hi - lo == 1:
-        return str(lo)
-    mid = (lo + hi) // 2
-    return f"(* {_perfect_join_text(lo, mid)} {_perfect_join_text(mid, hi)})"
-
-
 def _clique_text(lo, hi):
     """A join chain over the labels lo..hi-1: the clique on them."""
     text = str(lo)
@@ -523,7 +518,9 @@ def _assert_every_slot_accounted(ctx, root, note=""):
 
 
 def _p(lo, m):
-    return _perfect_join_text(lo, lo + m)
+    """The perfect join of the leaves lo..lo+m-1 (m a power of two), as text."""
+    text = serialize_cotree(perfect_join_cotree(m))
+    return re.sub(r"[0-9]+", lambda label: str(int(label[0]) + lo), text)
 
 
 def _free_leaf_under_each_side(m):
@@ -607,7 +604,7 @@ class TestRelinkFulls:
     def test_perfect_join_trees(self, relinks, monkeypatch, all_restricted):
         for depth in range(1, 8):
             n = 1 << depth
-            tree = parse_cotree(_perfect_join_text(0, n))
+            tree = perfect_join_cotree(n)
             self.compare(tree, range(n) if all_restricted else [], monkeypatch)
         # With R = V every join above the leaf pairs relinks, once in the
         # fold and once in solve: 2 * (n/2 - 1) per tree.
@@ -700,7 +697,7 @@ class TestRelinkFulls:
         # A relink that walked or wrote the arena would grow it.
         n = 1 << 10
         ctx = SolveContext(n, range(n))
-        root = ctx.run(parse_cotree(_perfect_join_text(0, n)))
+        root = ctx.run(perfect_join_cotree(n))
         assert sorted(root[_KF]) == list(range(n))
         assert len(ctx.pu) == 2
         assert sorted(ctx.free_pids) == [0, 1]
@@ -923,20 +920,7 @@ class TestBalancedRootContract:
             right = random_cotree(nr, rng.choice([0.3, 0.7]), trial + 1)
             # restricted: k vertices on each side of the root join
             members = rng.sample(range(nl), k) + [nl + v for v in rng.sample(range(nr), k)]
-            n = nl + nr
-            # splice the two trees under a join root
-            kind = list(left.kind) + list(right.kind)
-            a = left.a + [(x + len(left.kind)) if right.kind[i] != 0 else right.a[i] + nl
-                          for i, x in enumerate(right.a)]
-            b = left.b + [(x + len(left.kind)) if x >= 0 else -1 for x in right.b]
-            kind.append(2)
-            a.append(left.root)
-            b.append(right.root + len(left.kind))
-            from pairdom import Cotree
-
-            tree = Cotree(kind, a, b, len(kind) - 1, n)
-            tree.validate()
-            sol = solve(tree, members)
+            sol = solve(join_cotrees(left, right), members)
             assert sol.f == 0
             assert sol.matched_number == 2 * k
             assert sorted(sol.vertex_set()) == sorted(members)

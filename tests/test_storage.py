@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from pairdom import (
     Cotree,
     NoSolutionError,
+    caterpillar_cotree,
     materialize,
     parse_cotree,
     random_cotree,
@@ -33,7 +34,6 @@ from pairdom import (
 )
 from pairdom.cli import format_solution
 from pairdom.cotree import JOIN, LEAF, UNION, _unseen
-from test_output_identity import caterpillar
 
 
 def refuse(self):
@@ -160,7 +160,7 @@ class TestKindBytes:
            st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_list_kinds_read_the_same(self, n, bias, seed, shape, join_root):
-        tree = caterpillar(n, bias, seed) if shape else random_cotree(n, bias, seed)
+        tree = caterpillar_cotree(n, bias, seed) if shape else random_cotree(n, bias, seed)
         if join_root and n > 1:
             tree.kind[tree.root] = JOIN
         copy = Cotree(list(tree.kind), list(tree._a), None, tree.root, tree.leaf_count)

@@ -26,9 +26,11 @@ from pairdom import (
     PairedEdge,
     RestrictedSet,
     SolveContext,
+    caterpillar_cotree,
     format_restricted_text,
     parse_cotree,
     parse_restricted_text,
+    perfect_join_cotree,
     random_cotree,
     random_restricted,
     serialize_cotree,
@@ -37,13 +39,7 @@ from pairdom import graphs
 from pairdom.cli import _SLOTS, format_solution, main
 from pairdom.cotree import _CHUNK as NODE_CHUNK, JOIN, LEAF, UNION
 from pairdom.solver import _FH, _KH, _SH
-from test_output_identity import (
-    GRID_BIASES,
-    GRID_DENSITIES,
-    GRID_SIZES,
-    caterpillar,
-    perfect_join_level_order,
-)
+from test_output_identity import GRID_BIASES, GRID_DENSITIES, GRID_SIZES
 
 # -- the one-list forms, kept as references ----------------------------------
 
@@ -146,7 +142,7 @@ class TestSerializeChunks:
 
     def test_deep_spine_across_three_chunks(self):
         # Every open node's tokens wait on the pending stack across chunks.
-        tree = caterpillar(3 * NODE_CHUNK // 2 + 1, 0.5, 4)
+        tree = caterpillar_cotree(3 * NODE_CHUNK // 2 + 1, 0.5, 4)
         assert len(tree.kind) > 3 * NODE_CHUNK
         text = serialize_cotree(tree)
         assert text == reference_serialize(tree)
@@ -237,11 +233,11 @@ def identity_instances():
                 tree.kind[tree.root] = JOIN
                 yield tree, random_restricted(n, density, seed + 1000)
     for n in (1 << 10, 1 << 14):
-        tree = perfect_join_level_order(n)
+        tree = perfect_join_cotree(n)
         yield tree, RestrictedSet.empty(n)
         yield tree, RestrictedSet(n, range(n))
     for bias in (0.2, 0.5, 0.8):
-        tree = caterpillar(1000, bias, 5)
+        tree = caterpillar_cotree(1000, bias, 5)
         tree.kind[tree.root] = JOIN
         yield tree, random_restricted(1000, 0.5, 6)
 
@@ -356,7 +352,7 @@ def pairdom_solve(text: str, restricted) -> MPDSolution:
 @pytest.mark.parametrize("to_file", [True, False], ids=["output-file", "stdout"])
 def test_cli_solve_text_equals_format_solution(tmp_path, capsys, to_file):
     n = 1 << 14  # four pieces of slots
-    tree = perfect_join_level_order(n)
+    tree = perfect_join_cotree(n)
     ct = tmp_path / "t.ct"
     ct.write_text(serialize_cotree(tree) + "\n", encoding="utf-8")
     argv = ["solve", "--cotree", str(ct), "--restricted", "0,3,5,9000"]
@@ -380,7 +376,7 @@ OUTPUT_STAGE_BOUND_MB = 3.0
 def test_output_stage_memory():
     n = 1 << 16
     ctx = SolveContext(n, RestrictedSet(n, range(n)))
-    root = ctx.run(perfect_join_level_order(n))
+    root = ctx.run(perfect_join_cotree(n))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

@@ -21,7 +21,9 @@ from pairdom import (
     NoSolutionError,
     RestrictedSet,
     materialize,
+    caterpillar_cotree,
     parse_cotree,
+    perfect_join_cotree,
     random_cotree,
     random_restricted,
     solve,
@@ -30,7 +32,7 @@ from pairdom import (
 )
 from pairdom.cotree import JOIN, LEAF, UNION, _unseen
 from test_layout import level_order, preorder, relaid
-from test_output_identity import _permuted, caterpillar, perfect_join_level_order
+from test_output_identity import _permuted
 
 LAYOUTS = {"postorder": None, "preorder": preorder, "level-order": level_order}
 
@@ -152,14 +154,14 @@ SHAPES = {
         join_rooted(random_cotree(FULL_SIZE, 0.8, 5)), random_restricted(FULL_SIZE, 0.5, 6)
     ),
     "perfect join R=empty": lambda: (
-        _permuted(perfect_join_level_order(PERFECT_SIZE), 7), RestrictedSet.empty(PERFECT_SIZE)
+        _permuted(perfect_join_cotree(PERFECT_SIZE), 7), RestrictedSet.empty(PERFECT_SIZE)
     ),
     "perfect join R=V": lambda: (
-        _permuted(perfect_join_level_order(PERFECT_SIZE), 8),
+        _permuted(perfect_join_cotree(PERFECT_SIZE), 8),
         RestrictedSet(PERFECT_SIZE, range(PERFECT_SIZE)),
     ),
     "caterpillar": lambda: (
-        join_rooted(caterpillar(FULL_SIZE, 0.5, 9)), random_restricted(FULL_SIZE, 0.5, 10)
+        join_rooted(caterpillar_cotree(FULL_SIZE, 0.5, 9)), random_restricted(FULL_SIZE, 0.5, 10)
     ),
 }
 
