@@ -614,7 +614,7 @@ def random_cotree(n: int, join_bias: float, seed: int) -> Cotree:
 
 def perfect_join_cotree(n: int) -> Cotree:
     """Perfect binary tree of joins over ``n`` leaves, a power of two: the
-    complete graph on ``0..n-1``, labelled left to right."""
+    complete graph on ``0..n-1``, labeled left to right."""
     if n < 1 or n & (n - 1):
         raise ValueError(f"leaf count must be a power of two, got {n}")
     kind = bytearray()
@@ -659,7 +659,7 @@ def join_cotrees(left: Cotree, right: Cotree) -> Cotree:
     derived."""
     shift = left.leaf_count
     kind = bytearray(left.kind)
-    kind += bytearray(right.kind)
+    kind.extend(right.kind)
     kind.append(JOIN)
     arena_a = [x if k == LEAF else -1 for k, x in zip(left.kind, left._a)]
     arena_a += [x + shift if k == LEAF else -1 for k, x in zip(right.kind, right._a)]
