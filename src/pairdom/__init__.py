@@ -11,18 +11,7 @@ a CLI (``pairdom``).
 
 from importlib import import_module
 
-from .cotree import (
-    Cotree,
-    CotreeParseError,
-    caterpillar_cotree,
-    join_cotrees,
-    parse_cotree,
-    perfect_join_cotree,
-    random_cotree,
-    random_restricted,
-    serialize_cotree,
-    verify_on_tree,
-)
+from .cotree import Cotree, CotreeParseError, parse_cotree, serialize_cotree, verify_on_tree
 from .graphs import (
     Certificate,
     EdgeClass,
@@ -39,9 +28,9 @@ from .graphs import (
 
 __version__ = "0.1.0"
 
-# The explicit-graph, solver, diagnostics and oracle names load on first
-# use, so a process that runs none of them (``pairdom solve --cotree``,
-# ``verify --cotree``, ``gen``) does not compile them.
+# The explicit-graph, solver, diagnostics, oracle and generator names load
+# on first use, so a process that runs none of them (``pairdom solve
+# --cotree``, ``verify --cotree``) does not compile them.
 _LAZY = {
     "EdgeCapExceeded": "adjacency",
     "Graph": "adjacency",
@@ -66,6 +55,11 @@ _LAZY = {
     "SolverInternalError": "solver",
     "SummaryView": "diagnostics",
     "solve": "solver",
+    "caterpillar_cotree": "shapes",
+    "join_cotrees": "shapes",
+    "perfect_join_cotree": "shapes",
+    "random_cotree": "shapes",
+    "random_restricted": "shapes",
 }
 
 

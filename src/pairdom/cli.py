@@ -26,7 +26,7 @@ from itertools import compress
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional, Sequence
 
-from .cotree import parse_cotree, random_cotree, random_restricted, serialize_cotree, verify_on_tree
+from .cotree import parse_cotree, serialize_cotree, verify_on_tree
 from .graphs import (
     EdgeClass,
     GraphError,
@@ -38,9 +38,9 @@ from .graphs import (
     parse_restricted_text,
 )
 
-# The explicit-graph code, the solver, the oracle and ``statistics`` are
-# imported by the commands and branches that run them, so a process compiles
-# only what its command needs.
+# The explicit-graph code, the solver, the oracle, the generators and
+# ``statistics`` are imported by the commands and branches that run them,
+# so a process compiles only what its command needs.
 if TYPE_CHECKING:
     from .adjacency import P4Witness
 
@@ -244,6 +244,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .shapes import random_cotree, random_restricted
+
     tree = random_cotree(args.n, args.join_bias, args.seed)
     # Independent stream for the restricted choice (documented offset).
     restricted = random_restricted(args.n, args.density or 0.0, args.seed + 1)
@@ -267,12 +269,12 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import statistics
 
+    from .shapes import random_cotree, random_restricted
     from .solver import solve
 
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     rows = ["n,seed,solve_ns,pairs,beta"]
     medians: list[tuple[int, float]] = []
-    for n in sizes:
+    for n in args.sizes:
         tree = random_cotree(n, args.join_bias, args.seed)
         restricted = random_restricted(n, args.density, args.seed + 1)
         times = []
@@ -326,6 +328,16 @@ def _build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
         return value
 
+    def sizes(text: str) -> list[int]:
+        # Each size is a number token, as the text formats read them.
+        try:
+            values = [_int_token(tok) for tok in text.split(",") if tok]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not values or min(values) < 1:
+            raise argparse.ArgumentTypeError(f"needs sizes of at least 1, got {text!r}")
+        return values
+
     p = sub.add_parser("solve", help="solve one instance")
     add_instance_args(p)
     p.add_argument("--output", help="write the solution here instead of stdout")
@@ -361,7 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_recognize)
 
     p = sub.add_parser("bench", help="timing table over generated instances")
-    p.add_argument("--sizes", required=True, help="comma-separated sizes, e.g. 10000,100000")
+    p.add_argument("--sizes", type=sizes, required=True,
+                   help="comma-separated sizes, e.g. 10000,100000")
     p.add_argument("--join-bias", type=float, default=0.5)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)

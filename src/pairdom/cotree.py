@@ -9,15 +9,16 @@ induced path on four vertices.
 
 The tree is stored as a flat arena (parallel arrays) rather than node objects
 so million-leaf instances stay cheap to traverse; everything that walks it is
-iterative, never recursive.  This module holds the tree, its text format,
-its generators and the solution check on the tree, none of which builds an
-edge; materialization and recognition, which need the explicit graph, are
-in :mod:`pairdom.adjacency`.
+iterative, never recursive.  This module holds the tree, its text format
+and the solution check on the tree, none of which builds an edge: what
+``pairdom solve --cotree`` and ``verify --cotree`` run.  The generators and
+shape builders are in :mod:`pairdom.shapes`; materialization and
+recognition, which need the explicit graph, are in
+:mod:`pairdom.adjacency`.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from itertools import compress, islice
 from operator import length_hint, not_
@@ -34,11 +35,6 @@ __all__ = [
     "parse_cotree",
     "serialize_cotree",
     "verify_on_tree",
-    "random_cotree",
-    "perfect_join_cotree",
-    "caterpillar_cotree",
-    "join_cotrees",
-    "random_restricted",
 ]
 
 # Node kinds.  ``a`` is the only store of the leaf labels; a builder stores
@@ -63,46 +59,32 @@ class Cotree:
     Every tree is stored in the postfix form: ``kind`` in left-first
     postorder (each subtree a contiguous index range ending at its root, the
     left one first, so ``root`` is the last index), and in ``a`` the leaf
-    labels with -1 at every internal node.  Every builder, and the import of
-    a child-array arena, stores ``kind`` as a ``bytearray``, one byte per
-    node.  The kinds fix the shape, so the first read of ``a`` or ``b``
-    derives the child indices: ``a[i]``/``b[i]`` are then the children of
-    internal node ``i``, and ``b[i]`` is -1 at a leaf.  No walker in the
-    package reads them; all read :meth:`leaf_labels` and the kinds.  ``a``
-    is the only store of the leaf labels, so writing ``a[i]`` at a leaf
-    relabels it for every reader.  Instances are otherwise immutable by
-    convention after construction.
+    labels with -1 at every internal node.  Every tree stores ``kind`` as a
+    ``bytearray``, one byte per node.  The kinds fix the shape, so the first
+    read of ``a`` or ``b`` derives the child indices: ``a[i]``/``b[i]`` are
+    then the children of internal node ``i``, and ``b[i]`` is -1 at a leaf.
+    No walker in the package reads them; all read :meth:`leaf_labels` and
+    the kinds.  ``a`` is the only store of the leaf labels, so writing
+    ``a[i]`` at a leaf relabels it for every reader.  Instances are
+    otherwise immutable by convention after construction.
 
-    Every arena built by hand is checked once, at construction, and raises
-    ``ValueError`` unless it is a tree over exactly those leaves.  With
-    ``b=None`` the sequences must already be the postfix form; they are
-    checked by :meth:`validate` and become the tree's as given, so a list
-    of kinds stays a list.  With both child arrays, in any node order, the
-    arena is checked and copied into the postfix form by :func:`_postfix`;
-    the caller's lists are not touched.  The package's builders store their
-    postfix through :func:`_built`, unchecked.
+    A tree built by hand comes in as child arrays, in any node order: the
+    constructor checks the arena once, raising ``ValueError`` unless it is a
+    tree over exactly those leaves, and copies it into the postfix form by
+    :func:`_postfix`; the caller's lists are not touched.  ``b`` is
+    required, and ``None`` raises ``TypeError``.  The package's builders
+    store their postfix through :func:`_built`, unchecked.
     """
 
     __slots__ = ("kind", "_a", "_b", "root", "leaf_count")
 
     def __init__(
-        self,
-        kind: Sequence[int],
-        a: list[int],
-        b: Optional[list[int]],
-        root: int,
-        leaf_count: int,
+        self, kind: Sequence[int], a: Sequence[int], b: Sequence[int], root: int, leaf_count: int
     ) -> None:
-        if b is not None:
-            kind, a = _postfix(kind, a, b, root, leaf_count)
-            root = len(kind) - 1
-        self.kind = kind
-        self._a = a
+        self.kind, self._a = _postfix(kind, a, b, root, leaf_count)
         self._b: Optional[list[int]] = None
-        self.root = root
+        self.root = len(self.kind) - 1
         self.leaf_count = leaf_count
-        if b is None:
-            self.validate()
 
     @property
     def a(self) -> list[int]:
@@ -143,27 +125,6 @@ class Cotree:
         index order itself.  Only perfbench's traced ``cotree.postorder``
         span calls it."""
         return list(range(len(self.kind)))
-
-    def validate(self) -> None:
-        """Check that every kind is LEAF, UNION or JOIN, the kinds are a
-        postfix rooted at the last index and the leaf labels are exactly
-        ``0..leaf_count-1``; raises ``ValueError`` on violation.  Derives no
-        child index."""
-        # In a postfix each internal node takes two finished subtrees.
-        depth = 0
-        for k in self.kind:
-            if k == LEAF:
-                depth += 1
-            elif k == UNION or k == JOIN:
-                depth -= 1
-                if depth < 1:
-                    break
-            else:
-                raise ValueError(f"node kind {k!r} is not LEAF, UNION or JOIN")
-        if depth != 1 or self.root != len(self.kind) - 1 or len(self._a) != len(self.kind):
-            raise ValueError("kinds are not a left-first postorder rooted at the end")
-        if sorted(self.leaf_labels()) != list(range(self.leaf_count)):
-            raise ValueError("leaf labels are not exactly 0..leaf_count-1")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Cotree(leaves={self.leaf_count}, nodes={len(self.kind)})"
@@ -558,118 +519,3 @@ def _unseen(tree: Cotree, mark: Optional[bytearray]) -> list[int]:
     out.sort()
     return out
 
-
-def _check_shape(n: int, join_bias: float) -> None:
-    if n < 1:
-        raise ValueError(f"leaf count must be at least 1, got {n}")
-    if not 0.0 <= join_bias <= 1.0:
-        raise ValueError(f"join_bias must be in [0, 1], got {join_bias}")
-
-
-def random_cotree(n: int, join_bias: float, seed: int) -> Cotree:
-    """Seeded random tree: uniform recursive splits, biased operation choice.
-
-    Every internal node splits its leaf budget uniformly at random, is a
-    join with probability ``join_bias`` (independently), and the leaves are
-    labeled by a seeded permutation of ``0..n-1`` in left-to-right order.
-    Pure in ``(n, join_bias, seed)``.
-    """
-    _check_shape(n, join_bias)
-    rng = random.Random(seed)
-    labels = list(range(n))
-    rng.shuffle(labels)
-    # Fresh int objects, allocated in leaf order as the parser's are, so a
-    # walk over the leaves reads its labels from sequential memory instead
-    # of jumping through the shuffled objects of range(n).
-    labels = [x + 0 for x in labels]
-
-    kind = bytearray()
-    arena_a: list[int] = []
-
-    # Depth-first, left child first: the draws happen in preorder, so the
-    # sequence is reproducible and leaf labels are consumed left to right,
-    # while a node is stored only once its subtree is, so the arena comes
-    # out in left-first postorder.  A pending internal node waits on the
-    # stack as its negated operation.
-    stack = [n]
-    pop, push = stack.pop, stack.append
-    add_kind, add_a = kind.append, arena_a.append
-    next_label = iter(labels).__next__
-    randint, draw = rng.randint, rng.random
-    while stack:
-        size = pop()
-        if size == 1:
-            add_kind(LEAF)
-            add_a(next_label())
-        elif size > 1:
-            split = randint(1, size - 1)
-            push(-(JOIN if draw() < join_bias else UNION))
-            push(size - split)
-            push(split)
-        else:
-            add_kind(-size)
-            add_a(-1)
-    return _built(kind, arena_a, n)
-
-
-def perfect_join_cotree(n: int) -> Cotree:
-    """Perfect binary tree of joins over ``n`` leaves, a power of two: the
-    complete graph on ``0..n-1``, labeled left to right."""
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"leaf count must be a power of two, got {n}")
-    kind = bytearray()
-    arena_a: list[int] = []
-    # Leaf v - 1 completes one subtree per trailing zero bit of v, each of
-    # them a join.
-    for v in range(1, n + 1):
-        joins = (v & -v).bit_length() - 1
-        kind.append(LEAF)
-        kind.extend([JOIN] * joins)
-        arena_a.append(v - 1)
-        arena_a.extend([-1] * joins)
-    return _built(kind, arena_a, n)
-
-
-def caterpillar_cotree(n: int, join_bias: float, seed: int) -> Cotree:
-    """Seeded left spine: ``n - 1`` operations, each adding one leaf on the
-    right and each a join with probability ``join_bias``, drawn from
-    ``random.Random(seed)``.  The leaves are labeled by a permutation of
-    ``0..n-1`` shuffled by ``random.Random(seed + 1)``, in left-to-right
-    order.  Pure in ``(n, join_bias, seed)``.
-    """
-    _check_shape(n, join_bias)
-    draw = random.Random(seed).random
-    labels = list(range(n))
-    random.Random(seed + 1).shuffle(labels)
-    kind = bytearray([LEAF])
-    arena_a = [labels[0]]
-    for x in islice(labels, 1, None):
-        kind.append(LEAF)
-        kind.append(JOIN if draw() < join_bias else UNION)
-        arena_a.append(x)
-        arena_a.append(-1)
-    return _built(kind, arena_a, n)
-
-
-def join_cotrees(left: Cotree, right: Cotree) -> Cotree:
-    """The join of two trees: ``left``'s postfix, then ``right``'s with its
-    labels shifted by ``left.leaf_count``, then the join root.  The inputs
-    are read, not changed, and their labels only at leaves: ``a`` holds
-    child indices at the internal nodes of a tree whose child view was
-    derived."""
-    shift = left.leaf_count
-    kind = bytearray(left.kind)
-    kind.extend(right.kind)
-    kind.append(JOIN)
-    arena_a = [x if k == LEAF else -1 for k, x in zip(left.kind, left._a)]
-    arena_a += [x + shift if k == LEAF else -1 for k, x in zip(right.kind, right._a)]
-    arena_a.append(-1)
-    return _built(kind, arena_a, shift + right.leaf_count)
-
-
-def random_restricted(n: int, density: float, seed: int) -> RestrictedSet:
-    """Each vertex restricted independently with probability ``density``."""
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must be in [0, 1], got {density}")
-    rng = random.Random(seed)
-    return RestrictedSet(n, [v for v in range(n) if rng.random() < density])

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from pairdom import Graph, build_graph
+from pairdom import Cotree, Graph, build_graph
+from pairdom.cotree import JOIN, LEAF, UNION
 
 
 def path_graph(n: int) -> Graph:
@@ -38,6 +39,22 @@ def petersen_graph() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return build_graph(10, outer + spokes + inner)
+
+
+def assert_valid_postfix(tree: Cotree) -> None:
+    """The test reference for a tree's storage, independent of the
+    constructor's check: every kind is LEAF, UNION or JOIN, the kinds are a
+    left-first postorder rooted at the last index, ``a`` holds one entry per
+    node, and the leaf labels are exactly ``0..leaf_count-1``."""
+    # In a postfix each internal node takes two finished subtrees.
+    depth = 0
+    for i, k in enumerate(tree.kind):
+        assert k in (LEAF, UNION, JOIN), f"node {i} has kind {k!r}"
+        depth += 1 if k == LEAF else -1
+        assert depth >= 1, f"node {i} has fewer than two subtrees below it"
+    assert depth == 1, f"{depth} subtrees left at the end"
+    assert tree.root == len(tree.kind) - 1 == len(tree._a) - 1
+    assert sorted(tree.leaf_labels()) == list(range(tree.leaf_count))
 
 
 def random_instance_params(seed: int) -> tuple[int, float, float]:

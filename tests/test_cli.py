@@ -494,17 +494,39 @@ class TestBench:
             f"pairdom bench: error: argument --repeats: must be at least 1, got {repeats}\n"
         )
 
+    @pytest.mark.parametrize("sizes, error", [
+        ("", "needs sizes of at least 1, got ''"),
+        (",,", "needs sizes of at least 1, got ',,'"),
+        ("10,0", "needs sizes of at least 1, got '10,0'"),
+        ("--sizes=-5", "needs sizes of at least 1, got '-5'"),
+        ("10,x", "not a number token: 'x'"),
+        ("1_0", "not a number token: '1_0'"),
+        ("10, 20", "not a number token: ' 20'"),
+    ])
+    def test_bad_sizes_are_a_usage_error(self, capsys, sizes, error):
+        argv = [sizes] if sizes.startswith("--") else ["--sizes", sizes]
+        with pytest.raises(SystemExit) as err:
+            main(["bench", *argv, "--repeats", "1"])
+        assert err.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"pairdom bench: error: argument --sizes: {error}\n")
+
 
 class TestImports:
     # Modules that only some commands run: the explicit-graph code, the
-    # solver, the diagnostics, the oracle and the modules behind their
-    # imports (``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis``).
+    # solver, the diagnostics, the oracle, the generators and the modules
+    # behind their imports (``dataclasses`` pulls in ``inspect``, ``ast``
+    # and ``dis``).  ``random`` cannot be watched here: a site ``.pth`` hook
+    # may load it in every interpreter before ``pairdom`` runs, so
+    # ``test_cotree_does_not_import_random`` checks the module instead.
     WATCHED = (
         "dataclasses",
         "inspect",
         "pairdom.adjacency",
         "pairdom.diagnostics",
         "pairdom.oracle",
+        "pairdom.shapes",
         "pairdom.solver",
         "statistics",
     )
@@ -549,7 +571,12 @@ class TestImports:
 
     @pytest.mark.parametrize("argv", [["gen", "-n", "5", "--density", "0.5"], ["--help"]])
     def test_gen_and_help_load_none_of_the_command_code(self, tmp_path, argv):
-        assert self.run_cli(tmp_path, argv) == (EXIT_OK, [])
+        # Of the watched modules, gen loads only its generators.
+        want = ["pairdom.shapes"] if argv[0] == "gen" else []
+        assert self.run_cli(tmp_path, argv) == (EXIT_OK, want)
+
+    def test_cotree_does_not_import_random(self):
+        assert "random" not in vars(pairdom.cotree)
 
     def test_summary_view_loads_from_the_package(self):
         from pairdom.diagnostics import SummaryView

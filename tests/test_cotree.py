@@ -22,7 +22,7 @@ from pairdom import (
     serialize_cotree,
 )
 from pairdom.cotree import _CHUNK, JOIN, LEAF, UNION
-from conftest import cube_graph, cycle_graph, path_graph, petersen_graph
+from conftest import assert_valid_postfix, cube_graph, cycle_graph, path_graph, petersen_graph
 
 
 class TestParse:
@@ -329,7 +329,7 @@ class TestGenerators:
 
     def test_structure_valid(self):
         for seed in range(20):
-            random_cotree(30, 0.5, seed).validate()
+            assert_valid_postfix(random_cotree(30, 0.5, seed))
 
     def test_restricted_extremes(self):
         assert random_restricted(10, 0.0, 5).members() == []

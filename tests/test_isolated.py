@@ -28,6 +28,7 @@ from pairdom import (
 from pairdom import solver
 from pairdom.cotree import JOIN, LEAF, UNION, _unseen
 from pairdom.diagnostics import check_invariants, snapshot
+from conftest import assert_valid_postfix
 from test_layout import level_order, preorder, relaid
 
 LAYOUTS = {"postorder": None, "preorder": preorder, "level-order": level_order}
@@ -82,25 +83,28 @@ class TestDifferential:
 
 def join_tree_with_three_leaves(size: int, isolated: tuple[int, int, int]) -> Cotree:
     """A ``size``-leaf join subtree unioned with three leaves labelled
-    ``isolated``; the subtree takes the other labels, shuffled.  Stored in
-    left-first postorder."""
+    ``isolated``; the subtree takes the other labels, shuffled.  Built by
+    hand as child arrays in left-first postorder: each isolated leaf and
+    its union go after the tree so far."""
     sub = random_cotree(size, 0.5, 3)
     sub.kind[sub.root] = JOIN
     labels = sorted(set(range(size + 3)) - set(isolated))
     random.Random(4).shuffle(labels)
     kind = list(sub.kind)
-    a = [labels[x] if k == LEAF else -1 for k, x in zip(kind, sub.a)]
+    a = [labels[x] if k == LEAF else x for k, x in zip(kind, sub.a)]
+    b = list(sub.b)
     for label in isolated:
         kind += (LEAF, UNION)
-        a += (label, -1)
-    return Cotree(kind, a, None, len(kind) - 1, size + 3)
+        a += (label, len(kind) - 3)
+        b += (-1, len(kind) - 2)
+    return Cotree(kind, a, b, len(kind) - 1, size + 3)
 
 
 class TestAtScale:
     def test_three_isolated_leaves_next_to_a_large_join(self, monkeypatch):
         size = 100_000
         tree = join_tree_with_three_leaves(size, (size + 2, 7, 50_000))
-        tree.validate()
+        assert_valid_postfix(tree)
 
         def no_fold(self, tree):
             raise AssertionError("solve folded a tree with isolated vertices")

@@ -1,11 +1,11 @@
 """Arena layout: every tree is stored in left-first postorder.
 
 Builders store that postfix directly, unchecked; an arena built by hand
-with child arrays in any other node order is checked and copied into it
-once, by the constructor, so the caller's lists stay as they were, and both
-layouts must give the same solution text.  A postfix built by hand is
-checked as it is.  A malformed arena of either form raises ``ValueError``
-at construction.
+comes in as child arrays, in any node order, and is checked and copied into
+it once, by the constructor, so the caller's lists stay as they were, and
+both layouts must give the same solution text.  A malformed arena raises
+``ValueError`` at construction, and an arena without child arrays raises
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from pairdom import (
 from pairdom import cotree
 from pairdom.cli import format_solution
 from pairdom.cotree import JOIN, LEAF, UNION
+from conftest import assert_valid_postfix
 
 
 def left_first_postorder(tree: Cotree) -> list[int]:
@@ -52,7 +53,7 @@ def left_first_postorder(tree: Cotree) -> list[int]:
 
 def assert_postfix(tree: Cotree) -> None:
     assert tree._b is None
-    tree.validate()
+    assert_valid_postfix(tree)
     assert left_first_postorder(tree) == list(range(len(tree.kind)))
     assert tree.root == len(tree.kind) - 1
 
@@ -141,6 +142,7 @@ class TestBuildersStorePostorder:
         assert serialize_cotree(tree) == "(* 0 (+ 1 2))"
 
     def test_arena_not_in_postorder_is_rejected(self):
+        # Without child arrays no arena is read as a postfix.
         arenas = [
             ([JOIN, LEAF, LEAF], [-1, 0, 1], None, 2, 2),
             ([LEAF, JOIN], [0, -1], None, 1, 1),
@@ -149,16 +151,22 @@ class TestBuildersStorePostorder:
             ([LEAF, LEAF, JOIN], [0, 1], None, 2, 2),  # labels short of the kinds
         ]
         for arena in arenas:
-            with pytest.raises(ValueError, match="postorder"):
+            with pytest.raises(TypeError):
                 Cotree(*arena)
+
+    def test_postfix_without_child_arrays_is_rejected(self):
+        # ``b`` is required: even a builder's own postfix raises without it.
+        tree = parse_cotree("(* 0 (+ 1 2))")
+        with pytest.raises(TypeError, match="NoneType"):
+            Cotree(tree.kind, tree._a, None, tree.root, tree.leaf_count)
 
     def test_builders_skip_the_check(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a builder's postfix was checked")
 
         graph = materialize(parse_cotree("(* 0 (+ 1 2))"))
-        monkeypatch.setattr(Cotree, "validate", refuse)
         monkeypatch.setattr(cotree, "_postfix", refuse)
+        # Every tree builder: the parser, recognition and the four in shapes.py.
         trees = [parse_cotree("(* 0 (+ 1 2))"), random_cotree(40, 0.5, 1), recognize(graph),
                  perfect_join_cotree(16), caterpillar_cotree(40, 0.5, 1),
                  join_cotrees(random_cotree(5, 0.5, 2), random_cotree(7, 0.5, 3))]
@@ -204,7 +212,7 @@ class TestOtherLayoutsSolveTheSame:
         built = perfect_join_cotree(n)
         assert (tree.kind, tree._a) == (built.kind, built._a)
         renumbered = relaid(tree, left_first_postorder(tree))
-        renumbered.validate()
+        assert_valid_postfix(renumbered)
         for restricted in ([], range(n), range(0, n, 3)):
             assert solution_text(tree, restricted) == solution_text(renumbered, restricted)
 
@@ -251,24 +259,6 @@ def malformed_arenas():
     yield "label out of range", "label 3", (kind, [1, 0, 3, 1, 3], [2, -1, 4, -1, -1], 0, 3)
     yield "negative label", "label -1", (kind, [1, -1, 3, 1, 2], [2, -1, 4, -1, -1], 0, 3)
     yield "repeated label", "label 1", (kind, [1, 1, 3, 1, 2], [2, -1, 4, -1, -1], 0, 3)
-
-
-# Arenas in postfix form (b=None) that are not a tree over their leaves.
-# Unchecked, the first two gave wrong answers: with every vertex
-# restricted, the pairs (0, 1) and (0, 2), vertex 0 used twice and vertex 3
-# left out; and an error naming vertex -1 as isolated.
-MALFORMED_POSTFIXES = {
-    "repeated label": ([0, 0, 2, 0, 0, 2, 2], [0, 0, -1, 1, 2, -1, -1], None, 6, 4),
-    "two subtrees left": ([0, 0, 2, 0, 0], [0, 1, -1, 2, -1], None, 4, 3),
-    "unknown kind": ([0, 0, 7], [0, 1, -1], None, 2, 2),
-    "internal node first": ([2, 0, 0], [-1, 0, 1], None, 2, 2),
-}
-
-
-@pytest.mark.parametrize("name", sorted(MALFORMED_POSTFIXES))
-def test_malformed_postfix_is_rejected_at_construction(name):
-    with pytest.raises(ValueError):
-        Cotree(*MALFORMED_POSTFIXES[name])
 
 
 @pytest.mark.parametrize("error, arena", [case[1:] for case in malformed_arenas()],

@@ -1,13 +1,12 @@
 """Storage of a cotree: kinds and leaf labels, child arrays on demand.
 
-Every builder stores ``kind``, as a ``bytearray`` of one byte per node,
+Every tree stores ``kind``, as a ``bytearray`` of one byte per node,
 and, in ``a``, the leaf labels (-1 at every internal node); the first read
-of ``a`` or ``b`` derives the child indices.  A postfix built by hand with
-list kinds must read the same to every consumer.
-The solve, the isolated-vertex check, ``verify_on_tree``, ``materialize``,
-``serialize_cotree`` and ``validate`` must never take that pass,
-relabelling through ``tree.a`` must still reach the fold, and the derived
-arrays must equal a recursive reference.
+of ``a`` or ``b`` derives the child indices.  The solve, the
+isolated-vertex check, ``verify_on_tree``, ``materialize`` and
+``serialize_cotree`` must never take that pass, relabelling through
+``tree.a`` must still reach the fold, and the derived arrays must equal a
+recursive reference.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from pairdom import (
     Cotree,
     NoSolutionError,
-    caterpillar_cotree,
     materialize,
     parse_cotree,
     random_cotree,
@@ -34,6 +32,7 @@ from pairdom import (
 )
 from pairdom.cli import format_solution
 from pairdom.cotree import JOIN, LEAF, UNION, _unseen
+from conftest import assert_valid_postfix
 
 
 def refuse(self):
@@ -133,7 +132,7 @@ class TestOneForm:
         kind, labels = tree.kind[:], tree.leaf_labels()
         tree.b
         assert (tree.kind, tree.leaf_labels(), tree.root) == (kind, labels, 4)
-        tree.validate()
+        assert_valid_postfix(tree)
         assert serialize_cotree(tree) == "(* 0 (+ 1 2))"
 
     def test_materialize_and_serialize_need_no_child_arrays(self):
@@ -142,7 +141,7 @@ class TestOneForm:
                 patch.setattr(Cotree, "_derive", refuse)
                 text = serialize_cotree(tree)
                 adj = materialize(tree).adj
-                tree.validate()
+                assert_valid_postfix(tree)
             assert tree._b is None
             assert text == reference_text(tree)
             assert adj == reference_adj(tree)
@@ -156,29 +155,6 @@ class TestKindBytes:
                       recognize(materialize(tree)), hand_built):
             assert type(built.kind) is bytearray
 
-    @given(st.integers(1, 60), st.floats(0, 1), st.integers(0, 10_000), st.booleans(),
-           st.booleans())
-    @settings(max_examples=150, deadline=None)
-    def test_list_kinds_read_the_same(self, n, bias, seed, shape, join_root):
-        tree = caterpillar_cotree(n, bias, seed) if shape else random_cotree(n, bias, seed)
-        if join_root and n > 1:
-            tree.kind[tree.root] = JOIN
-        copy = Cotree(list(tree.kind), list(tree._a), None, tree.root, tree.leaf_count)
-        assert type(copy.kind) is list
-        restricted = random_restricted(n, random.Random(seed).random(), seed + 1)
-        assert serialize_cotree(copy) == serialize_cotree(tree)
-        try:
-            solution = solve(tree, restricted)
-        except NoSolutionError as err:
-            with pytest.raises(NoSolutionError) as got:
-                solve(copy, restricted)
-            assert got.value.isolated == err.isolated
-            pairs = [(v, v + 1) for v in range(0, n - 1, 3)]
-        else:
-            assert format_solution(solve(copy, restricted)) == format_solution(solution)
-            pairs = [(p.u, p.v) for p in solution.pairs]
-        assert verify_on_tree(copy, restricted, pairs) == verify_on_tree(tree, restricted, pairs)
-
 
 class TestParsedArena:
     def test_stores_kinds_and_labels_only(self):
@@ -188,7 +164,7 @@ class TestParsedArena:
         assert tree._b is None
         assert tree.leaf_labels() == [2, 0, 1]
         assert (tree.a, tree.b) == ([2, 0, 0, 1, 2], [-1, -1, 1, -1, 3])
-        tree.validate()
+        assert_valid_postfix(tree)
 
     @pytest.mark.parametrize("bias", [0.0, 0.5, 1.0])
     def test_derived_arrays_equal_the_generators(self, bias):
@@ -203,12 +179,6 @@ class TestParsedArena:
         for tree in small_trees(60):
             want = reference_arena(serialize_cotree(tree))
             assert (list(tree.kind), tree.a, tree.b, tree.root) == want
-
-    def test_arena_without_child_arrays_is_kept_as_given(self):
-        kind, labels = [LEAF, LEAF, JOIN], [1, 0, -1]
-        tree = Cotree(kind, labels, None, 2, 2)
-        assert tree.kind is kind and tree._a is labels and tree._b is None
-        tree.validate()
 
 
 class TestNoDerivePass:

@@ -16,8 +16,11 @@ because the resource usage of a spawned child also counts this process's
 pages before the ``exec``.  The two trees' solution files and verify output
 must be byte-identical.  Prints whether ``PYTHONDONTWRITEBYTECODE`` is set
 (without it the children load cached bytecode and compile nothing), then,
-per workload and command, the median and quartiles of the per-round CPU-time
-ratio b/a, b's wins and each tree's median child peak RSS.
+per tree and command, the code tokens of the ``pairdom`` modules the child
+loads (what it compiles without cached bytecode), counted as
+``tests/test_source_size.py`` counts them, then, per workload and command,
+the median and quartiles of the per-round CPU-time ratio b/a, b's wins and
+each tree's median child peak RSS.
 """
 
 import os
@@ -34,6 +37,19 @@ SEED = 1
 # workload -> (family, leaves, shape seed) of perfbench's CLI instance
 WORKLOADS = {"perfect-join-rv": ("perfect", 2**11, 0), "random-262k": ("random", 3000, 13)}
 COMMANDS = ("solve", "verify")
+# Run as ``python -c PROBE <names file> <command args>``: runs the CLI as
+# ``python -m pairdom.cli`` does, with ``cli.py`` as ``__main__``, then
+# writes the names of the other ``pairdom`` modules it loaded.
+PROBE = """\
+import runpy, sys
+out, sys.argv = sys.argv[1], ["pairdom", *sys.argv[2:]]
+try:
+    runpy.run_module("pairdom.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+with open(out, "w", encoding="ascii") as fh:
+    fh.write(" ".join(name for name in sys.modules if name.split(".")[0] == "pairdom"))
+"""
 
 
 def write_instances(work: Path) -> None:
@@ -48,6 +64,27 @@ def write_instances(work: Path) -> None:
         Path(work, f"{workload}.ct").write_text(serialize_cotree(tree) + "\n", encoding="utf-8")
         Path(work, f"{workload}.rs").write_text(
             format_restricted_text(make_restricted(family, n, SEED)), encoding="utf-8")
+
+
+def command_args(workload: str, command: str, work: Path, sol: Path) -> list[str]:
+    """Arguments of ``command`` on the workload's instance; solve writes
+    ``sol`` and verify reads it."""
+    ct, rs = str(work / f"{workload}.ct"), str(work / f"{workload}.rs")
+    flag = "--output" if command == "solve" else "--solution"
+    return [command, "--cotree", ct, "--restricted", rs, flag, str(sol)]
+
+
+def loaded_modules(src: Path, work: Path, args: list[str]) -> dict[str, Path]:
+    """The ``pairdom`` modules that ``pairdom *args`` loads from ``src``,
+    ``cli.py`` included: name to source file."""
+    names_file = work / "modules.txt"
+    subprocess.run([sys.executable, "-c", PROBE, str(names_file), *args], cwd=work, check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)}, stdout=subprocess.DEVNULL)
+    files = {}
+    for name in sorted(set(names_file.read_text(encoding="ascii").split()) | {"pairdom.cli"}):
+        path = src.joinpath(*name.split("."))
+        files[name] = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+    return files
 
 
 def run_child(src: Path, work: Path, args: list[str], out: Path) -> tuple[float, int]:
@@ -88,16 +125,23 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_instances(work)
+        sys.path.insert(0, str(ROOT / "tests"))
+        from test_source_size import code_tokens
+
+        for i, tree in enumerate("ab"):
+            for command in COMMANDS:
+                args = command_args(next(iter(WORKLOADS)), command, work, work / "probe.txt")
+                files = loaded_modules(srcs[i], work, args)
+                print(f"{tree} {command} --cotree: {sum(map(code_tokens, files.values()))} "
+                      f"code tokens in {' '.join(files)}")
         for rnd in range(ROUNDS):
             order = (0, 1) if rnd % 2 == 0 else (1, 0)
             for workload in WORKLOADS:
-                ct, rs = str(work / f"{workload}.ct"), str(work / f"{workload}.rs")
                 for command in COMMANDS:
                     outputs = []
                     for i in order:
                         sol, stdout = work / f"solution-{i}.txt", work / f"{command}-{i}.txt"
-                        flag = "--output" if command == "solve" else "--solution"
-                        args = [command, "--cotree", ct, "--restricted", rs, flag, str(sol)]
+                        args = command_args(workload, command, work, sol)
                         seconds, peak = run_child(srcs[i], work, args, stdout)
                         cpu[workload, command][i].append(seconds)
                         rss[workload, command][i].append(peak)
