@@ -518,4 +518,3 @@ def _unseen(tree: Cotree, mark: Optional[bytearray]) -> list[int]:
             push(sees)
     out.sort()
     return out
-

@@ -142,8 +142,10 @@ class TestBuildersStorePostorder:
         assert serialize_cotree(tree) == "(* 0 (+ 1 2))"
 
     def test_arena_not_in_postorder_is_rejected(self):
-        # Without child arrays no arena is read as a postfix.
+        # ``b`` is required: without child arrays no arena is read as a
+        # postfix, not even a valid one.
         arenas = [
+            ([LEAF, LEAF, LEAF, UNION, JOIN], [0, 1, 2, -1, -1], None, 4, 3),  # (* 0 (+ 1 2))
             ([JOIN, LEAF, LEAF], [-1, 0, 1], None, 2, 2),
             ([LEAF, JOIN], [0, -1], None, 1, 1),
             ([LEAF, LEAF, JOIN, JOIN], [0, 1, -1, -1], None, 3, 2),
@@ -151,14 +153,8 @@ class TestBuildersStorePostorder:
             ([LEAF, LEAF, JOIN], [0, 1], None, 2, 2),  # labels short of the kinds
         ]
         for arena in arenas:
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match="NoneType"):
                 Cotree(*arena)
-
-    def test_postfix_without_child_arrays_is_rejected(self):
-        # ``b`` is required: even a builder's own postfix raises without it.
-        tree = parse_cotree("(* 0 (+ 1 2))")
-        with pytest.raises(TypeError, match="NoneType"):
-            Cotree(tree.kind, tree._a, None, tree.root, tree.leaf_count)
 
     def test_builders_skip_the_check(self, monkeypatch):
         def refuse(*args):
