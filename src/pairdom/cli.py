@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional, Sequen
 
 from .cotree import parse_cotree, serialize_cotree, verify_on_tree
 from .graphs import (
-    EdgeClass,
     GraphError,
     MPDSolution,
     NoSolutionError,
@@ -50,10 +49,10 @@ EXIT_NO_SOLUTION = 2
 EXIT_NOT_COGRAPH = 3
 EXIT_VERIFY_FAILED = 4
 
-_PAIR_CLASSES = frozenset(cls.value for cls in EdgeClass)
-# A row's class as the byte its slot keeps, and the row's end for that byte.
-_CLASS_CODES = {"full": 1, "semi": 2, "free": 3}
-_ROW_TAILS = (None, " full\n", " semi\n", " free\n")
+# A row's class as a byte, one more than the row's number of restricted
+# endpoints, and the row's end for that byte.
+_CLASS_CODES = {"free": 1, "semi": 2, "full": 3}
+_ROW_TAILS = (None, " free\n", " semi\n", " full\n")
 _SLOTS = 1 << 12  # slots per piece of the solution text
 
 
@@ -106,9 +105,18 @@ def _solution_pieces(solution: MPDSolution) -> Iterator[str]:
 
 def parse_solution_text(text: str) -> tuple[int, tuple[int, int, int], list[tuple[int, int]]]:
     """Read the solution format back: (beta, (k, s, f), pairs)."""
+    return _solution_rows(text)[:3]
+
+
+def _solution_rows(
+    text: str,
+) -> tuple[int, tuple[int, int, int], list[tuple[int, int]], bytearray]:
+    """:func:`parse_solution_text`'s three values, then each pair's class
+    token as its byte in ``_CLASS_CODES``, in input order."""
     beta: Optional[int] = None
     kfs: Optional[tuple[int, int, int]] = None
     pairs: list[tuple[int, int]] = []
+    codes = bytearray()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -120,8 +128,9 @@ def parse_solution_text(text: str) -> tuple[int, tuple[int, int, int], list[tupl
                 beta = _int_token(fields[1])
             elif head == "kfs" and len(fields) == 4 and kfs is None:
                 kfs = (_int_token(fields[1]), _int_token(fields[2]), _int_token(fields[3]))
-            elif head == "pair" and len(fields) == 4 and fields[3] in _PAIR_CLASSES:
+            elif head == "pair" and len(fields) == 4 and fields[3] in _CLASS_CODES:
                 pairs.append((_int_token(fields[1]), _int_token(fields[2])))
+                codes.append(_CLASS_CODES[fields[3]])
             else:
                 raise ValueError
         except ValueError:
@@ -130,7 +139,7 @@ def parse_solution_text(text: str) -> tuple[int, tuple[int, int, int], list[tupl
             raise GraphError(f"solution line {lineno}: {problem} {line!r}") from None
     if beta is None or kfs is None:
         raise GraphError("solution file is missing the beta/kfs headers")
-    return beta, kfs, pairs
+    return beta, kfs, pairs, codes
 
 
 def _read(path: str) -> str:
@@ -146,12 +155,6 @@ def _write(path: Optional[str], pieces: Iterable[str]) -> None:
             fh.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
-
-
-def _no_solution(exc: NoSolutionError) -> int:
-    """Print the ``no-solution isolated ...`` line; returns its exit code."""
-    print("no-solution isolated " + " ".join(str(v) for v in exc.isolated))
-    return EXIT_NO_SOLUTION
 
 
 def _not_cograph(witness: P4Witness) -> int:
@@ -183,10 +186,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if isinstance(tree, P4Witness):
             return _not_cograph(tree)
     restricted = _parse_restricted_arg(args.restricted, tree.leaf_count)
-    try:
-        solution = solve(tree, restricted)
-    except NoSolutionError as exc:
-        return _no_solution(exc)
+    solution = solve(tree, restricted)
     _write(args.output, _solution_pieces(solution))
     return EXIT_OK
 
@@ -202,21 +202,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         graph = parse_graph_text(_read(args.graph))
         n, check = graph.n, partial(verify_solution, graph)
     restricted = _parse_restricted_arg(args.restricted, n)
-    beta, (k, s, f), pairs = parse_solution_text(_read(args.solution))
+    beta, kfs, pairs, codes = _solution_rows(_read(args.solution))
     report = check(restricted, pairs)
     print(f"valid {str(report.valid).lower()}")
     print(f"kfs {report.k} {report.s} {report.f}")
     print(f"matched {report.matched_number}")
     print(f"certificate {report.certificate.value}")
-    ok = report.valid
-    for problem in report.problems:
+    problems = list(report.problems)
+    if not report.is_dominating:
+        problems.append("not-dominating")
+    flags = restricted.flags
+    problems += [
+        f"wrong-class {u} {v}"
+        for (u, v), code in zip(pairs, codes)
+        if 0 <= u < n and 0 <= v < n and code != flags[u] + flags[v] + 1
+    ]
+    if report.valid and (kfs != (report.k, report.s, report.f) or beta != report.matched_number):
+        problems.append("stats-mismatch")
+    for problem in problems:
         print(f"reason {problem}")
-    if report.valid and (
-        (k, s, f) != (report.k, report.s, report.f) or beta != report.matched_number
-    ):
-        print("reason stats-mismatch")
-        ok = False
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return EXIT_VERIFY_FAILED if problems else EXIT_OK
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -229,15 +234,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         graph = materialize(tree)
     else:
         graph = parse_graph_text(_read(args.graph))
-    try:
-        if args.gamma_p:
-            gamma = oracle_paired_domination_number(graph, max_vertices=args.max_n)
-            print(f"gamma_p {gamma}")
-            return EXIT_OK
-        restricted = _parse_restricted_arg(args.restricted, graph.n)
-        result = oracle_canonical(graph, restricted, max_vertices=args.max_n)
-    except NoSolutionError as exc:
-        return _no_solution(exc)
+    if args.gamma_p:
+        gamma = oracle_paired_domination_number(graph, max_vertices=args.max_n)
+        print(f"gamma_p {gamma}")
+        return EXIT_OK
+    restricted = _parse_restricted_arg(args.restricted, graph.n)
+    result = oracle_canonical(graph, restricted, max_vertices=args.max_n)
     print(f"beta {result.beta} fmin {result.f_min}")
     sys.stdout.write(format_solution(result.witness))
     return EXIT_OK
@@ -278,19 +280,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         tree = random_cotree(n, args.join_bias, args.seed)
         restricted = random_restricted(n, args.density, args.seed + 1)
         times = []
-        last = None
         for _ in range(args.repeats):
             t0 = time.perf_counter_ns()
-            try:
-                solution = solve(tree, restricted)
-            except NoSolutionError as exc:
-                return _no_solution(exc)
+            solution = solve(tree, restricted)
             elapsed = time.perf_counter_ns() - t0
             times.append(elapsed)
-            last = solution
-            rows.append(
-                f"{n},{args.seed},{elapsed},{last.k + last.s + last.f},{last.matched_number}"
-            )
+            rows.append(f"{n},{args.seed},{elapsed},{solution.k + solution.s + solution.f},"
+                        f"{solution.matched_number}")
         medians.append((n, statistics.median(times)))
     for (n1, t1), (n2, t2) in zip(medians, medians[1:]):
         rows.append(f"ratio,{n1}:{n2},{t2 / t1:.3f},,")
@@ -320,20 +316,24 @@ def _build_parser() -> argparse.ArgumentParser:
         src.add_argument("--graph", help="graph file (p/e format); recognized first")
         p.add_argument("--restricted", help="file path or inline comma list (default: empty)")
 
+    def number(text: str) -> int:
+        # Every integer option takes a number token, as the text formats
+        # read them.
+        try:
+            return _int_token(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
     def at_least_one(text: str) -> int:
         # A cap below 1 admits no instance (the empty graph is not one), and
         # no repeat leaves no time to take a median of.
-        value = int(text)
+        value = number(text)
         if value < 1:
             raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
         return value
 
     def sizes(text: str) -> list[int]:
-        # Each size is a number token, as the text formats read them.
-        try:
-            values = [_int_token(tok) for tok in text.split(",") if tok]
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+        values = [number(tok) for tok in text.split(",") if tok]
         if not values or min(values) < 1:
             raise argparse.ArgumentTypeError(f"needs sizes of at least 1, got {text!r}")
         return values
@@ -355,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
-    p.add_argument("-n", type=int, required=True, help="number of vertices (leaves)")
+    p.add_argument("-n", type=number, required=True, help="number of vertices (leaves)")
     p.add_argument("--join-bias", type=float, default=0.5, help="P(join) per internal node")
     p.add_argument(
         "--density",
@@ -363,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restricted density; omit to skip the restricted line on stdout",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=number, default=0)
     p.add_argument("--out-cotree", help="write the tree here instead of stdout")
     p.add_argument("--out-restricted", help="write the restricted set here")
     p.set_defaults(func=_cmd_gen)
@@ -377,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated sizes, e.g. 10000,100000")
     p.add_argument("--join-bias", type=float, default=0.5)
     p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=number, default=0)
     p.add_argument("--repeats", type=at_least_one, default=5)
     p.add_argument("--output", help="write the CSV here instead of stdout")
     p.set_defaults(func=_cmd_bench)
@@ -390,6 +390,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # The solver and the oracle raise it before a command writes anything.
+    except NoSolutionError as exc:
+        print("no-solution isolated " + " ".join(map(str, exc.isolated)))
+        return EXIT_NO_SOLUTION
     # GraphError, CotreeParseError and OracleCapExceeded are ValueErrors.
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

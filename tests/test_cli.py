@@ -185,6 +185,26 @@ class TestUsage:
         assert err.value.code == EXIT_OK
         assert "usage: pairdom" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, option, token", [
+        (["gen", "-n", "1_0"], "-n", "1_0"),
+        (["gen", "-n", "10", "--seed", "\u0661"], "--seed", "\u0661"),
+        (["gen", "-n", "+10"], "-n", "+10"),
+        (["bench", "--sizes", "20", "--repeats", "1_0"], "--repeats", "1_0"),
+        (["bench", "--sizes", "20", "--seed", "+1"], "--seed", "+1"),
+        (["oracle", "--cotree", "t.ct", "--max-n", "+3"], "--max-n", "+3"),
+        (["oracle", "--cotree", "t.ct", "--max-n", "\u0661\u0666"], "--max-n", "\u0661\u0666"),
+    ])
+    def test_integer_options_take_number_tokens(self, capsys, argv, option, token):
+        # The number rule of the text formats: ASCII digits after an optional '-'.
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"pairdom {argv[0]}: error: argument {option}: not a number token: {token!r}\n"
+        )
+
 
 def readme_cli_commands() -> list[str]:
     """The ``pairdom ...`` commands of README's CLI block: comments
@@ -228,6 +248,37 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == EXIT_VERIFY_FAILED
         assert "reason stats-mismatch" in out
+
+    @pytest.mark.parametrize("source", ["--cotree", "--graph"])
+    @pytest.mark.parametrize("cotree, restricted, solution, out", [
+        # A valid dominating matching whose one pair R makes full, under a
+        # header that counts it as free.
+        ("(* 0 1)", "0,1", "beta 0\nkfs 0 0 1\npair 0 1 free\n",
+         "valid true\nkfs 1 0 0\nmatched 2\ncertificate all-restricted-tight\n"
+         "reason wrong-class 0 1\nreason stats-mismatch\n"),
+        # Two disjoint edges: a pair on one leaves the other undominated.
+        ("(+ (* 0 1) (* 2 3))", "", "beta 0\nkfs 0 0 1\npair 0 1 free\n",
+         "valid false\nkfs 0 0 1\nmatched 0\ncertificate none\nreason not-dominating\n"),
+        # The report's reasons, then not-dominating, then one wrong-class
+        # per in-range row in input order, endpoints as written.
+        ("(+ (* 0 1 2 3) (* 4 5))", "0,1",
+         "beta 3\nkfs 1 1 0\npair 3 2 semi\npair 9 0 full\npair 1 0 semi\npair 1 3 free\n",
+         "valid false\nkfs 1 1 1\nmatched 2\ncertificate none\n"
+         "reason bad-vertex 9 0\nreason vertex-reused 1\nreason vertex-reused 3\n"
+         "reason not-dominating\n"
+         "reason wrong-class 3 2\nreason wrong-class 1 0\nreason wrong-class 1 3\n"),
+    ], ids=["wrong-class", "not-dominating", "order"])
+    def test_every_reason_is_printed(
+        self, tmp_path, capsys, source, cotree, restricted, solution, out
+    ):
+        if source == "--cotree":
+            path = write(tmp_path, "t.ct", cotree + "\n")
+        else:
+            path = write(tmp_path, "t.g", format_graph_text(materialize(parse_cotree(cotree))))
+        sol = write(tmp_path, "sol.txt", solution)
+        code = main(["verify", source, path, "--restricted", restricted, "--solution", sol])
+        assert code == EXIT_VERIFY_FAILED
+        assert capsys.readouterr().out == out
 
     @pytest.mark.parametrize(
         "text, error",
@@ -601,9 +652,17 @@ class TestImports:
         for name, module in pairdom._LAZY.items():
             assert hasattr(importlib.import_module(f"pairdom.{module}"), name), (name, module)
 
-    def test_no_name_is_both_eager_and_lazy(self):
-        # A fresh interpreter: this one has cached every lazy name already.
-        script = "import pairdom\nprint(sorted(set(pairdom._LAZY) & set(vars(pairdom))))\n"
+    def test_package_import_loads_no_submodule(self):
+        # A fresh interpreter: this one has loaded every submodule already.
+        script = (
+            "import sys\n"
+            "def loaded():\n"
+            "    print(*sorted(m for m in sys.modules if m.startswith('pairdom.')))\n"
+            "import pairdom\n"
+            "loaded()\n"
+            "from pairdom import Cotree\n"
+            "loaded()\n"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
@@ -612,7 +671,7 @@ class TestImports:
             env={**os.environ, "PYTHONPATH": SRC},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        assert proc.stdout == "\npairdom.cotree pairdom.graphs\n"
 
 
 class TestPipeline:
