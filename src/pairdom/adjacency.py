@@ -21,14 +21,12 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .cotree import JOIN, LEAF, UNION, Cotree, _built
 from .graphs import (
-    EdgeClass,
     GraphError,
     MPDSolution,
     RestrictedSet,
     VerificationReport,
     _int_token,
     _verification_report,
-    classify_edge,
 )
 
 __all__ = [
@@ -52,7 +50,7 @@ DEFAULT_EDGE_CAP = 50_000_000
 
 
 class EdgeCapExceeded(GraphError):
-    """Materialization would exceed the configured edge cap."""
+    """Materialization would build more than ``DEFAULT_EDGE_CAP`` edges."""
 
 
 class P4Witness(NamedTuple):
@@ -216,7 +214,7 @@ def verify_solution(
         graph.n,
         restricted,
         pairs,
-        lambda candidates: [graph.has_edge(u, v) for u, v in candidates],
+        lambda pairs: [graph.has_edge(p[0], p[1]) for p in pairs],
         lambda mark: is_dominating(graph, compress(range(graph.n), mark)),
     )
 
@@ -249,7 +247,7 @@ def check_maximum_properties(
     """
     pairs: Sequence[tuple[int, int]]
     if isinstance(solution, MPDSolution):
-        pairs = [(p.u, p.v) for p in solution.pairs]
+        pairs = list(zip(solution._us, solution._vs))
     else:
         pairs = [(p[0], p[1]) for p in solution]
 
@@ -267,15 +265,15 @@ def check_maximum_properties(
     if not unmatched_restricted:
         return []
 
-    # Per-vertex endpoint roles.
+    # Per-vertex endpoint roles: the partner, and the pair's class code,
+    # its number of restricted endpoints.
+    flags = restricted.flags
     partner = [-1] * n
-    pair_cls: dict[int, EdgeClass] = {}
+    code = bytearray(n)
     for u, v in pairs:
         partner[u] = v
         partner[v] = u
-        c = classify_edge((u, v), restricted)
-        pair_cls[u] = c
-        pair_cls[v] = c
+        code[u] = code[v] = flags[u] + flags[v]
 
     # For rule 3: per vertex, how many neighbors are unmatched, plus up to
     # two examples so the offending neighbor can be named even when one of
@@ -312,12 +310,12 @@ def check_maximum_properties(
             if not matched[w]:
                 emit("uncovered-neighborhood", y, None, w)
                 continue
-            c = pair_cls[w]
+            c = code[w]
             p = (w, partner[w])
-            if c is EdgeClass.FREE:
+            if c == 0:
                 emit("free-pair-neighbor", y, (min(p), max(p)), w)
                 continue
-            if c is EdgeClass.SEMI and w in restricted:
+            if c == 1 and flags[w]:
                 emit("semi-restricted-neighbor", y, (min(p), max(p)), w)
             # Rule 3 applies to full and semi pairs alike: the partner of the
             # touched endpoint must have no unmatched neighbor other than y.
@@ -388,12 +386,12 @@ def format_graph_text(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def materialize(tree: Cotree, edge_cap: int = DEFAULT_EDGE_CAP) -> Graph:
+def materialize(tree: Cotree) -> Graph:
     """Expand the tree into an explicit graph.
 
     A join contributes the complete bipartite edge set between the leaf sets
     of its children; a union contributes nothing.  The edge count is checked
-    against ``edge_cap`` before any adjacency row is allocated, so an
+    against ``DEFAULT_EDGE_CAP`` before any adjacency row is allocated, so an
     accidental dense join fails fast instead of exhausting memory.
     """
     n = tree.leaf_count
@@ -417,9 +415,9 @@ def materialize(tree: Cotree, edge_cap: int = DEFAULT_EDGE_CAP) -> Graph:
             if k == JOIN:
                 lo = starts[-1]
                 m += (mid - lo) * (seen - mid)
-                if m > edge_cap:
+                if m > DEFAULT_EDGE_CAP:
                     raise EdgeCapExceeded(
-                        f"materialization needs more than {edge_cap} edges"
+                        f"materialization needs more than {DEFAULT_EDGE_CAP} edges"
                     )
                 joins.append((lo, mid, seen))
 

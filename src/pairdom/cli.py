@@ -23,7 +23,6 @@ import sys
 import time
 from functools import partial
 from itertools import compress
-from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .cotree import parse_cotree, serialize_cotree, verify_on_tree
@@ -49,10 +48,10 @@ EXIT_NO_SOLUTION = 2
 EXIT_NOT_COGRAPH = 3
 EXIT_VERIFY_FAILED = 4
 
-# A row's class as a byte, one more than the row's number of restricted
-# endpoints, and the row's end for that byte.
-_CLASS_CODES = {"free": 1, "semi": 2, "full": 3}
-_ROW_TAILS = (None, " free\n", " semi\n", " full\n")
+# A row's class token to its class code, the row's number of restricted
+# endpoints, and the row's end for that code.
+_CLASS_CODES = {"free": 0, "semi": 1, "full": 2}
+_ROW_TAILS = (" free\n", " semi\n", " full\n")
 _SLOTS = 1 << 12  # slots per piece of the solution text
 
 
@@ -68,21 +67,21 @@ def _solution_pieces(solution: MPDSolution) -> Iterator[str]:
     Each row goes into a slot list at its smaller endpoint, which no two
     pairs of a solution share (its pairs are vertex-disjoint), so the slots
     hold the rows in order with no dict, sort or per-row tuple: a slot keeps
-    the larger endpoint, and a byte beside it the class.  Reads only the
-    solution's columns.  Raises ``ValueError`` here, before any piece, when
-    two pairs do share their smaller endpoint."""
-    us, vs, classes = solution._columns()
+    the larger endpoint, and a byte beside it the class code plus one, so 0
+    marks an empty slot.  Reads only the solution's columns.  Raises
+    ``ValueError`` here, before any piece, when two pairs do share their
+    smaller endpoint."""
+    us, vs = solution._us, solution._vs
     base = min(min(us, default=0), min(vs, default=0))
     size = max(max(us, default=-1), max(vs, default=-1)) + 1 - base
     partner: list[Optional[int]] = [None] * size
     codes = bytearray(size)
-    # ``_value_`` is the plain attribute behind the ``value`` property.
-    for u, v, code in zip(us, vs, map(_CLASS_CODES.__getitem__, map(attrgetter("_value_"), classes))):
+    for u, v, code in zip(us, vs, solution._cls):
         if u > v:
             u, v = v, u
         u -= base
         partner[u] = v
-        codes[u] = code
+        codes[u] = code + 1
     if size - codes.count(0) != len(us):
         raise ValueError("two pairs share their smaller endpoint")
     header = f"beta {solution.matched_number}\nkfs {solution.k} {solution.s} {solution.f}\n"
@@ -98,7 +97,7 @@ def _solution_pieces(solution: MPDSolution) -> Iterator[str]:
                 compress(partner[a:b], have),
                 filter(None, have),
             )
-            yield "".join([f"pair {u} {v}{tails[c]}" for u, v, c in rows])
+            yield "".join([f"pair {u} {v}{tails[c - 1]}" for u, v, c in rows])
 
     return pieces()
 
@@ -112,7 +111,7 @@ def _solution_rows(
     text: str,
 ) -> tuple[int, tuple[int, int, int], list[tuple[int, int]], bytearray]:
     """:func:`parse_solution_text`'s three values, then each pair's class
-    token as its byte in ``_CLASS_CODES``, in input order."""
+    token as its code in ``_CLASS_CODES``, in input order."""
     beta: Optional[int] = None
     kfs: Optional[tuple[int, int, int]] = None
     pairs: list[tuple[int, int]] = []
@@ -215,7 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     problems += [
         f"wrong-class {u} {v}"
         for (u, v), code in zip(pairs, codes)
-        if 0 <= u < n and 0 <= v < n and code != flags[u] + flags[v] + 1
+        if 0 <= u < n and 0 <= v < n and code != flags[u] + flags[v]
     ]
     if report.valid and (kfs != (report.k, report.s, report.f) or beta != report.matched_number):
         problems.append("stats-mismatch")

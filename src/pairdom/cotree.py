@@ -411,13 +411,14 @@ def verify_on_tree(
         tree.leaf_count,
         restricted,
         pairs,
-        lambda candidates: _lca_is_join(tree, candidates),
+        lambda pairs: _lca_is_join(tree, pairs),
         lambda mark: all(mark[x] for x in _unseen(tree, mark)),
     )
 
 
-def _lca_is_join(tree: Cotree, pairs: list[tuple[int, int]]) -> list[bool]:
-    """Whether each pair of distinct leaves has a join node as its LCA.
+def _lca_is_join(tree: Cotree, pairs: Sequence[tuple[int, int]]) -> list[bool]:
+    """Whether each pair of distinct leaves has a join node as its LCA; a
+    pair with an endpoint out of range or repeated reads False.
 
     In index order (left-first postorder) the nodes below ``i`` are
     finished and the ancestors of node ``i`` are unfinished.  Tarjan's
@@ -428,16 +429,20 @@ def _lca_is_join(tree: Cotree, pairs: list[tuple[int, int]]) -> list[bool]:
     walk up to the first node past ``i`` finds it.
     """
     kind, labels = tree.kind, tree._a  # labels are read at leaves only
-    # Each pair is queued at both of its leaves: entry 2j at pairs[j][0],
-    # entry 2j + 1 at pairs[j][1], linked per vertex through ``after``.
-    first = [-1] * tree.leaf_count
+    # Each pair of distinct leaves is queued at both of them: entry 2j at
+    # pairs[j][0], entry 2j + 1 at pairs[j][1], linked per vertex through
+    # ``after``.
+    n = tree.leaf_count
+    first = [-1] * n
     after = [-1] * (2 * len(pairs))
     entry = 0
-    for u, v in pairs:
-        after[entry] = first[u]
-        first[u] = entry
-        after[entry + 1] = first[v]
-        first[v] = entry + 1
+    for p in pairs:
+        u, v = p[0], p[1]
+        if 0 <= u < n and 0 <= v < n and u != v:
+            after[entry] = first[u]
+            first[u] = entry
+            after[entry + 1] = first[v]
+            first[v] = entry + 1
         entry += 2
     # Parents from one stack pass over the kinds: an internal node takes the
     # two subtrees finished last.
@@ -448,7 +453,7 @@ def _lca_is_join(tree: Cotree, pairs: list[tuple[int, int]]) -> list[bool]:
         if k != LEAF:
             up[pop()] = up[pop()] = i
         push(i)
-    leaf_node = [-1] * tree.leaf_count  # set once the leaf is finished
+    leaf_node = [-1] * n  # set once the leaf is finished
     answers = [False] * len(pairs)
     for i, k in enumerate(kind):
         if k != LEAF:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import re
 from collections import deque
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -66,6 +66,10 @@ class EdgeClass(enum.Enum):
     FULL = "full"
     SEMI = "semi"
     FREE = "free"
+
+
+# A pair's class by its number of restricted endpoints: the one class code.
+_CLASSES = (EdgeClass.FREE, EdgeClass.SEMI, EdgeClass.FULL)
 
 
 class Certificate(enum.Enum):
@@ -152,13 +156,16 @@ class MPDSolution:
     ``case_trace`` is a diagnostic tag naming the rule that produced the
     root combine inside the solver, when the solver produced this object.
 
-    Immutable, and compared and hashed by those six fields.  A solver-built
-    solution keeps its pairs as two label columns, full then semi then free
-    pairs, so ``k``, ``s`` and ``f`` are its class column; ``pairs`` builds
-    the :class:`PairedEdge` tuple on its first read and keeps it.
+    Immutable, and compared and hashed by those six fields.  Every solution
+    keeps its pairs as three columns: the u endpoints, the v endpoints and
+    each pair's class code, its number of restricted endpoints (0 free,
+    1 semi, 2 full).  The constructor derives the columns from its rows and
+    keeps the rows as ``pairs``.  A solver-built solution has only the
+    columns, full then semi then free pairs; ``pairs`` builds the
+    :class:`PairedEdge` tuple on its first read and keeps it.
     """
 
-    __slots__ = ("_pairs", "_us", "_vs", "k", "s", "f", "matched_number", "case_trace")
+    __slots__ = ("_pairs", "_us", "_vs", "_cls", "k", "s", "f", "matched_number", "case_trace")
 
     def __init__(
         self,
@@ -169,7 +176,10 @@ class MPDSolution:
         matched_number: int,
         case_trace: Optional[str] = None,
     ) -> None:
-        self._fill(pairs, None, None, k, s, f, matched_number, case_trace)
+        # ``index`` raises for a class that is not an EdgeClass member.
+        codes = bytes(map(_CLASSES.index, [p[2] for p in pairs]))
+        us, vs = [p[0] for p in pairs], [p[1] for p in pairs]
+        self._fill(pairs, us, vs, codes, k, s, f, matched_number, case_trace)
 
     def _fill(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -182,7 +192,7 @@ class MPDSolution:
         """The solution whose i-th pair is ``(us[i], vs[i])``: the first
         ``k`` full, the next ``s`` semi and the last ``f`` free."""
         self = cls.__new__(cls)
-        self._fill(None, us, vs, k, s, f, 2 * k + s, case_trace)
+        self._fill(None, us, vs, b"\2" * k + b"\1" * s + bytes(f), k, s, f, 2 * k + s, case_trace)
         return self
 
     @property
@@ -190,20 +200,9 @@ class MPDSolution:
         if self._pairs is None:
             # PairedEdge(u, v, cls) is tuple.__new__(PairedEdge, (u, v, cls));
             # mapping that directly builds the rows without a Python call each.
-            rows = zip(*self._columns())
+            rows = zip(self._us, self._vs, map(_CLASSES.__getitem__, self._cls))
             object.__setattr__(self, "_pairs", tuple(map(tuple.__new__, repeat(PairedEdge), rows)))
         return self._pairs
-
-    def _columns(self) -> tuple[Sequence[int], Sequence[int], Iterable[EdgeClass]]:
-        """The u endpoints, the v endpoints and the classes, row by row;
-        derived from ``pairs`` for a solution built from them."""
-        if self._us is None:
-            pairs = self._pairs
-            return [p[0] for p in pairs], [p[1] for p in pairs], [p[2] for p in pairs]
-        classes = chain(
-            repeat(EdgeClass.FULL, self.k), repeat(EdgeClass.SEMI, self.s), repeat(EdgeClass.FREE, self.f)
-        )
-        return self._us, self._vs, classes
 
     _FIELDS = ("pairs", "k", "s", "f", "matched_number", "case_trace")
 
@@ -243,24 +242,19 @@ class MPDSolution:
     ) -> "MPDSolution":
         """Classify ``edges`` against ``restricted`` and count from scratch."""
         pairs = []
-        k = s = f = 0
+        counts = [0, 0, 0]  # free, semi, full
         for u, v in edges:
-            c = classify_edge((u, v), restricted)
-            if c is EdgeClass.FULL:
-                k += 1
-            elif c is EdgeClass.SEMI:
-                s += 1
-                if v in restricted and u not in restricted:
-                    u, v = v, u
-            else:
-                f += 1
-            pairs.append(PairedEdge(u, v, c))
+            code = (u in restricted) + (v in restricted)
+            counts[code] += 1
+            if code == 1 and u not in restricted:
+                u, v = v, u
+            pairs.append(PairedEdge(u, v, _CLASSES[code]))
+        f, s, k = counts
         return cls(tuple(pairs), k, s, f, 2 * k + s)
 
     def vertex_set(self) -> set[int]:
-        us, vs, _ = self._columns()
-        out = set(us)
-        out.update(vs)
+        out = set(self._us)
+        out.update(self._vs)
         return out
 
 
@@ -288,12 +282,7 @@ class VerificationReport(NamedTuple):
 def classify_edge(edge: tuple[int, int], restricted: RestrictedSet) -> EdgeClass:
     """Full/semi/free classification of a pair; symmetric in the endpoints."""
     u, v = edge
-    hits = (u in restricted) + (v in restricted)
-    if hits == 2:
-        return EdgeClass.FULL
-    if hits == 1:
-        return EdgeClass.SEMI
-    return EdgeClass.FREE
+    return _CLASSES[(u in restricted) + (v in restricted)]
 
 
 def _check_restricted(restricted: RestrictedSet, n: int) -> None:
@@ -307,28 +296,23 @@ def _verification_report(
     n: int,
     restricted: RestrictedSet,
     pairs: Sequence[tuple[int, int]],
-    are_edges: Callable[[list[tuple[int, int]]], Sequence[bool]],
+    are_edges: Callable[[Sequence[tuple[int, int]]], Sequence[bool]],
     dominates: Callable[[bytearray], bool],
 ) -> VerificationReport:
     """The report of :func:`~pairdom.adjacency.verify_solution` on an
     ``n``-vertex graph that is known only through two answers, each asked
-    once.  ``are_edges``
-    gets the pairs of two distinct in-range vertices in input order and
-    answers for each whether it is an edge; ``dominates`` gets the 0/1
-    flags of the vertices the in-range pairs touch.  One loop over the
-    pairs then finds every matching problem, in input order, and the
-    counts."""
+    once.  ``are_edges`` gets the pairs as given and answers for each
+    whether it is an edge; the answer for a pair with an endpoint out of
+    range or repeated is never read.  ``dominates`` gets the 0/1 flags of
+    the vertices the in-range pairs touch.  One loop over the pairs then
+    finds every matching problem, in input order, and the counts."""
     _check_restricted(restricted, n)
-    candidates = [
-        (p[0], p[1]) for p in pairs if 0 <= p[0] < n and 0 <= p[1] < n and p[0] != p[1]
-    ]
-    answers = iter(are_edges(candidates))
     problems = []
-    used = bytearray(n)  # the vertices of the candidates so far
+    used = bytearray(n)  # the vertices of the in-range two-vertex pairs so far
     mark = bytearray(n)  # the vertices of the in-range pairs, self-pairs too
     flags = restricted.flags
     counts = [0, 0, 0]  # in-range pairs by restricted endpoints: free, semi, full
-    for p in pairs:
+    for p, edge in zip(pairs, are_edges(pairs)):
         u, v = p[0], p[1]
         if not (0 <= u < n and 0 <= v < n):
             problems.append(f"bad-vertex {u} {v}")
@@ -338,7 +322,7 @@ def _verification_report(
         if u == v:
             problems.append(f"self-pair {u}")
             continue
-        if not next(answers):
+        if not edge:
             problems.append(f"not-an-edge {min(u, v)} {max(u, v)}")
         for x in (u, v):
             if used[x]:

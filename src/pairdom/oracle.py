@@ -42,15 +42,12 @@ class OracleResult:
     """Exact optimum: maximum matched number, then minimum free pairs.
 
     ``witness`` is one solution attaining ``(beta, f_min)``; it verifies
-    valid with exactly these statistics.  ``count_explored`` counts the
-    dominating matchings the search reached past its bound, at most all of
-    them -- a diagnostic, not a contract.
+    valid with exactly these statistics.
     """
 
     beta: int
     f_min: int
     witness: MPDSolution
-    count_explored: int
 
 
 def _check_cap(n: int, max_vertices: int) -> None:
@@ -159,11 +156,10 @@ def oracle_canonical(
     best_beta = -1
     best_f = 0
     best_pairs: list[tuple[int, int]] = []
-    explored = 0
     current: list[tuple[int, int]] = []
 
     def search(i: int, used: int, dom: int, matched: int, f: int) -> None:
-        nonlocal best_beta, best_f, best_pairs, explored
+        nonlocal best_beta, best_f, best_pairs
         if best_beta >= 0:
             potential = matched + (rmask & ~used & suffix_cover[i]).bit_count()
             if potential < best_beta or (potential == best_beta and f >= best_f):
@@ -172,7 +168,6 @@ def oracle_canonical(
             # The bound is exact here (suffix_cover[m] is empty), so a
             # matching that gets this far beats the incumbent.
             if dom == full_mask:
-                explored += 1
                 best_beta = matched
                 best_f = f
                 best_pairs = current.copy()
@@ -196,7 +191,6 @@ def oracle_canonical(
         beta=best_beta,
         f_min=best_f,
         witness=MPDSolution.from_edges(best_pairs, restricted),
-        count_explored=explored,
     )
 
 

@@ -16,6 +16,7 @@ from pairdom import (
     is_induced_p4,
     materialize,
     parse_cotree,
+    perfect_join_cotree,
     random_cotree,
     random_restricted,
     recognize,
@@ -254,9 +255,10 @@ class TestMaterialize:
         assert all(len(g.adj[v]) == 2 for v in range(4))
 
     def test_edge_cap(self):
-        t = random_cotree(40, 1.0, 0)  # K40: 780 edges
+        # 2^14 leaves under perfect joins: about 134M edges, past the
+        # default cap; the check raises before any adjacency row is built.
         with pytest.raises(EdgeCapExceeded):
-            materialize(t, edge_cap=100)
+            materialize(perfect_join_cotree(2**14))
 
     def test_union_only_graph_is_empty(self):
         g = materialize(random_cotree(17, 0.0, 3))

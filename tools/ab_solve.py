@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of ``parse_cotree``, ``solve()`` and
-``format_solution`` between two ``pairdom`` source trees.
+"""In-process A/B timing of ``parse_cotree``, ``solve()``,
+``format_solution`` and ``verify_on_tree`` between two ``pairdom`` source
+trees.
 
     python3 tools/ab_solve.py ../base/src/pairdom [src/pairdom]
 
@@ -12,12 +13,14 @@ of perfbench's two workloads (``perfbench/instances.py``, seed 1), each
 child times 20 rounds per copy of perfbench's text op, call by call with
 ``time.process_time``: ``parse_cotree`` of the workload's text, ``solve()``
 of that tree and ``format_solution`` of the result, in an order that flips
-every round.  Its first round checks that the copies return the same arena
-(kinds compared as lists, whatever sequence each copy stores them in), the
-same pairs and the same text.  After the timed rounds, each child makes one
+every round, then ``verify_on_tree`` of that tree on the solved pairs.  Its
+first round checks that the copies return the same arena (kinds compared as
+lists, whatever sequence each copy stores them in), the same pairs, the same
+text and the same report.  After the timed rounds, each child makes one
 untimed ``tracemalloc`` pass per copy and workload: the bytes per leaf that
-the parsed tree holds, and the traced peak of ``solve()`` above what was
-allocated before it, which RSS layout noise does not blur.  Prints, per
+the parsed tree holds, and the traced peaks of ``solve()`` and of
+``verify_on_tree`` above what was allocated before each, which RSS layout
+noise does not blur.  Prints, per
 workload and timed call, each child's medians, per-round ratio and the
 second copy's wins, then the pooled ones, then each child's memory readings.
 """
@@ -37,7 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 20  # per child
 # workload -> (family, leaves, shape seed) of perfbench's library instance
 WORKLOADS = {"perfect-join-rv": ("perfect", 2**18, 0), "random-262k": ("random", 2**18, 0)}
-CALLS = ("parse_cotree", "solve", "format_solution")
+CALLS = ("parse_cotree", "solve", "format_solution", "verify_on_tree")
 
 
 def child(first: str, trees: list[Path]) -> None:
@@ -70,13 +73,19 @@ def child(first: str, trees: list[Path]) -> None:
                     sol = mods[i].solve(tree, sets[i])
                     solved = time.process_time()
                     text = mods[i].cli.format_solution(sol)
+                    formatted = time.process_time()
+                    pairs = sol.pairs
+                    listed = time.process_time()
+                    report = mods[i].verify_on_tree(tree, sets[i], pairs)
                     times["parse_cotree"][i].append(parsed - start)
                     times["solve"][i].append(solved - parsed)
-                    times["format_solution"][i].append(time.process_time() - solved)
+                    times["format_solution"][i].append(formatted - solved)
+                    times["verify_on_tree"][i].append(time.process_time() - listed)
                     if rnd == 0:
                         outputs.append(((list(tree.kind), tree._a),
-                                        [(p.u, p.v, p.cls.value) for p in sol.pairs], text))
-                    del tree, sol, text
+                                        [(p.u, p.v, p.cls.value) for p in pairs], text,
+                                        (*report[:-2], report.certificate.value, report.problems)))
+                    del tree, sol, text, pairs, report
                 if rnd == 0 and outputs[0] != outputs[1]:
                     raise SystemExit(f"{workload}: the two copies disagree")
             out[workload] = {**times, "memory": [memory(mod, tree_text, sets[i], n)
@@ -85,20 +94,26 @@ def child(first: str, trees: list[Path]) -> None:
     print(json.dumps(out))
 
 
-def memory(mod, tree_text: str, restricted, n: int) -> tuple[float, float]:
-    """The bytes per leaf of ``mod``'s parsed tree and ``solve()``'s traced
-    peak in MB above what was allocated before it, from one untimed pass."""
+def memory(mod, tree_text: str, restricted, n: int) -> tuple[float, float, float]:
+    """The bytes per leaf of ``mod``'s parsed tree, and the traced peaks in
+    MB of ``solve()`` and of ``verify_on_tree`` on its pairs above what was
+    allocated before each, from one untimed pass."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tree = mod.parse_cotree(tree_text)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        mod.solve(tree, restricted)
-        peak = tracemalloc.get_traced_memory()[1] - held
+        solution = mod.solve(tree, restricted)
+        solve_peak = tracemalloc.get_traced_memory()[1] - held
+        pairs = solution.pairs
+        solved = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mod.verify_on_tree(tree, restricted, pairs)
+        verify_peak = tracemalloc.get_traced_memory()[1] - solved
     finally:
         tracemalloc.stop()
-    return (held - before) / n, peak / 1e6
+    return (held - before) / n, solve_peak / 1e6, verify_peak / 1e6
 
 
 def summary(times: list[list[float]]) -> str:
@@ -136,8 +151,10 @@ def main() -> None:
             print(f"{workload} {call}, pooled: {summary(pooled)}")
         for first in "ab":
             print(f"{workload} memory, {first} loaded first: " + "; ".join(
-                f"{copy} parsed tree {per_leaf:.1f} B/leaf, solve() peak {peak:.1f} MB"
-                for copy, (per_leaf, peak) in zip("ab", halves[first][workload]["memory"])))
+                f"{copy} parsed tree {per_leaf:.1f} B/leaf, solve() peak {solve_peak:.1f} MB, "
+                f"verify_on_tree peak {verify_peak:.1f} MB"
+                for copy, (per_leaf, solve_peak, verify_peak)
+                in zip("ab", halves[first][workload]["memory"])))
 
 if __name__ == "__main__":
     main()
